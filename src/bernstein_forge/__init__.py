@@ -4,6 +4,7 @@ from .errors import (
     ArityMismatch,
     BadExponents,
     BadInterval,
+    BadTolerance,
     BernsteinForgeError,
     ConstantNotInSpace,
     DerivedBasisUnavailable,
@@ -55,6 +56,7 @@ from .sturm import (
     bisect_root,
     classify_on_interval,
     isolate_roots,
+    rational_root_in,
     rational_roots,
     sturm_chain,
     sturm_count,

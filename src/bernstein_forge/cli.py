@@ -5,7 +5,8 @@ JSON, inline or by file path; all rationals travel as exact "p/q" text.
 Exit codes are a stable contract:
 
     0  success (basis found / operator exists / corpus clean)
-    1  malformed input
+    1  malformed input, including a non-positive `--tol` or one too loose
+       to separate the nodes (`operator`)
     2  no Bernstein basis (`basis`)
     3  operator does not exist (`exists`, `operator`)
     4  problem hypotheses failed certification
@@ -149,16 +150,16 @@ def cmd_operator(args) -> int:
     try:
         problem, report = _existence(args)
         tol = as_rational(args.tol) if args.tol else DEFAULT_TOL
+        if report.verdict != "exists":
+            print(f"operator does not exist: {report.verdict}", file=sys.stderr)
+            return 3
+        spec = build_operator(report, tol)
     except (F0NotPositive, RatioNotMonotone) as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 4
     except (BernsteinForgeError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if report.verdict != "exists":
-        print(f"operator does not exist: {report.verdict}", file=sys.stderr)
-        return 3
-    spec = build_operator(report, tol)
     digits = _precision()
     out = sys.stderr if args.samples else sys.stdout
 

@@ -57,6 +57,10 @@ class IdentityViolation(BernsteinForgeError):
     """A structural identity that should hold exactly failed to hold."""
 
 
+class BadTolerance(BernsteinForgeError):
+    """An enclosure tolerance is not a positive rational."""
+
+
 class ToleranceTooLoose(BernsteinForgeError):
     """Node enclosures overlap; the requested tolerance cannot separate them."""
 

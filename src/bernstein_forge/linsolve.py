@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .errors import InconsistentSystem
+from .errors import IdentityViolation, InconsistentSystem
 from .rational import as_rational
 
 
@@ -67,7 +67,8 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Optional[Sequence] = None) -> 
                     continue
                 num = im[i][j] * im[r][c] - mic * im[r][j]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss divisibility violated"
+                if rem:
+                    raise IdentityViolation("Bareiss divisibility violated")
                 im[i][j] = q
             im[i][c] = 0
         prev = im[r][c]

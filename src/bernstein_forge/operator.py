@@ -15,6 +15,7 @@ from typing import Optional, Union
 
 from .errors import (
     ArityMismatch,
+    BadTolerance,
     ConstantNotInSpace,
     DerivedBasisUnavailable,
     F0NotPositive,
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .linsolve import solve_linear
 from .polynomial import Polynomial
-from .rational import as_rational, format_rational, sign
+from .rational import as_rational, format_rational
 from .spaces import (
     GRADE_SIGNED,
     BernsteinBasis,
@@ -45,7 +46,7 @@ from .sturm import (
     RootEnclosure,
     bisect_root,
     classify_on_interval,
-    rational_roots,
+    rational_root_in,
 )
 
 RATIO_STRICT = "strictly-increasing-ratio"
@@ -109,7 +110,7 @@ def certify_monotone_ratio(problem: OperatorProblem):
     if n1.is_zero:
         return RATIO_NOT_MONOTONE, classify_on_interval(Polynomial.zero(), a, b)
     cls = classify_on_interval(n1, a, b)
-    sa, sb = sign(n1(a)), sign(n1(b))
+    sa, sb = n1.sign_at(a), n1.sign_at(b)
     if cls.verdict == STRICTLY_POSITIVE and sa > 0 and sb > 0:
         return RATIO_STRICT, cls
     if cls.verdict in (STRICTLY_POSITIVE, NONNEG_INTERIOR_ZEROS) and sa >= 0 and sb >= 0:
@@ -307,14 +308,18 @@ class OperatorSpec:
 def build_operator(report: ExistenceReport, tol=DEFAULT_TOL) -> OperatorSpec:
     """Nodes and weights for an `exists` verdict.
 
-    Each node solves f1 - r_k f0 = 0 on [a, b]; rational roots are found
-    exactly (width-0 enclosures), others by certified bisection.  Weights
-    are beta_k / f0(t_k), exact for rational nodes and rigorous rational
-    enclosures otherwise.
+    Each node solves f1 - r_k f0 = 0 on [a, b]: certified bisection to
+    width tol, then an exact test for a rational root in that enclosure, so
+    rational nodes come back exact (width-0 enclosures) at any coefficient
+    size.  Weights are beta_k / f0(t_k), exact for rational nodes and
+    rigorous rational enclosures otherwise.  Raises BadTolerance unless
+    tol > 0.
     """
     if report.verdict != VERDICT_EXISTS:
         raise ValueError(f"operator does not exist: verdict {report.verdict}")
     tol = as_rational(tol)
+    if tol <= 0:
+        raise BadTolerance(f"tolerance must be positive, got {format_rational(tol)}")
     problem = report.problem
     a, b = problem.space.a, problem.space.b
     f0, f1 = problem.f0, problem.f1
@@ -322,18 +327,10 @@ def build_operator(report: ExistenceReport, tol=DEFAULT_TOL) -> OperatorSpec:
     nodes = []
     for r in report.ratios:
         g = f1 - f0.scale(r)
-        if g(a) == 0:
-            nodes.append(RootEnclosure(a, a))
-            continue
-        if g(b) == 0:
-            nodes.append(RootEnclosure(b, b))
-            continue
-        exact = [x for x in rational_roots(g) if a < x < b]
-        if exact:
-            # f1/f0 strictly increasing => the node in [a, b] is unique
-            nodes.append(RootEnclosure(exact[0], exact[0]))
-        else:
-            nodes.append(bisect_root(g, a, b, tol))
+        # f1/f0 strictly increasing => g has one root in [a, b], a crossing
+        enc = bisect_root(g, a, b, tol)
+        root = rational_root_in(g, enc)
+        nodes.append(enc if root is None else RootEnclosure(root, root))
 
     # Distinct ratios must yield separated enclosures at this tolerance.
     order = sorted(range(len(nodes)), key=lambda k: (report.ratios[k], k))

@@ -3,12 +3,16 @@
 Coefficients are stored densely, index = monomial degree, trailing zeros
 trimmed.  The zero polynomial has an empty coefficient tuple and degree
 ``-inf`` so that degree comparisons are never ambiguous.
+
+Evaluation and sign tests run fraction-free: each polynomial caches one
+common denominator D > 0 with integer numerators, and p(u/v) is the
+homogeneous Horner sum over Python ints divided by D v^d at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import NonExactDivision
@@ -17,16 +21,37 @@ from .rational import as_rational, format_rational
 _NEG_INF = float("-inf")
 
 
+def _homogeneous_horner(nums: list, x: Fraction) -> tuple:
+    """(sum of n_i u^i v^(d-i), v^d) for x = u/v and d = len(nums) - 1.
+
+    With D the common denominator of the numerators nums, p(x) equals
+    acc / (D v^d); D and v are positive, so acc carries the sign of p(x).
+    """
+    u, v = x.numerator, x.denominator
+    rest = reversed(nums)
+    acc = next(rest)
+    if v == 1:
+        for c in rest:
+            acc = acc * u + c
+        return acc, 1
+    vp = 1
+    for c in rest:
+        vp *= v
+        acc = acc * u + c * vp
+    return acc, vp
+
+
 class Polynomial:
     """Immutable dense polynomial with Fraction coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_den", "_nums")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [as_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
+        self._nums = None  # integer form, built on first use by _integer_form
 
     # -- construction ------------------------------------------------------
 
@@ -106,6 +131,21 @@ class Polynomial:
     def support(self) -> tuple:
         return tuple(i for i, c in enumerate(self._coeffs) if c != 0)
 
+    @property
+    def _integer_form(self) -> tuple:
+        """(D, numerators): the least D > 0 making every D * c an integer.
+
+        Kept as a slot pair holding a list, not as tuples: short tuples
+        outlive their polynomial on the interpreter's tuple free lists.
+        """
+        if self._nums is None:
+            den = 1
+            for c in self._coeffs:
+                den = lcm(den, c.denominator)
+            self._den = den
+            self._nums = [c.numerator * (den // c.denominator) for c in self._coeffs]
+        return self._den, self._nums
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -142,12 +182,21 @@ class Polynomial:
         return Polynomial(s * c for c in self._coeffs)
 
     def __call__(self, x) -> Fraction:
-        """Exact evaluation by Horner's rule."""
+        """Exact evaluation by fraction-free Horner; one Fraction at the end."""
         x = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        den, nums = self._integer_form
+        if not nums:
+            return Fraction(0)
+        acc, vp = _homogeneous_horner(nums, x)
+        return Fraction(acc, den * vp)
+
+    def sign_at(self, x) -> int:
+        """Exact sign of p(x) (-1, 0 or 1), without building the value."""
+        nums = self._integer_form[1]
+        if not nums:
+            return 0
+        acc, _ = _homogeneous_horner(nums, as_rational(x))
+        return (acc > 0) - (acc < 0)
 
     def derivative(self, order: int = 1) -> "Polynomial":
         p = self
@@ -208,14 +257,11 @@ class Polynomial:
         """
         if self.is_zero:
             return self
-        den = 1
-        for c in self._coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in self._coeffs]
+        nums = self._integer_form[1]
         content = 0
-        for v in ints:
-            content = gcd(content, abs(v))
-        return Polynomial(Fraction(v, content) for v in ints)
+        for v in nums:
+            content = gcd(content, v)
+        return Polynomial(v // content for v in nums)
 
     # -- comparisons / misc ------------------------------------------------
 

@@ -17,9 +17,11 @@ def as_rational(value) -> Fraction:
     Floats are rejected on purpose: decimal inputs would smuggle rounding
     into hypotheses that must be decided exactly.
     """
+    if isinstance(value, Fraction):
+        return value  # immutable: no copy needed
     if isinstance(value, bool):
         raise TypeError("booleans are not rational scalars")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())

@@ -18,6 +18,7 @@ from .errors import (
     BadInterval,
     ConstantNotInSpace,
     F0NotPositive,
+    IdentityViolation,
     InconsistentSystem,
     NonPositiveScalar,
     NotInSpace,
@@ -169,15 +170,14 @@ def basis_from_generators(generators, a, b) -> Union[BernsteinBasis, NoBasisRepo
     for column in ders:
         for _ in range(n):
             column.append(column[-1].derivative())
+    # Row j of each table: the j-th derivatives of the generators at a (b).
+    at_a = [[column[j](a) for column in ders] for j in range(n)]
+    at_b = [[column[j](b) for column in ders] for j in range(n)]
 
     elements = []
     failures = []
     for k in range(n + 1):
-        rows = []
-        for j in range(k):
-            rows.append([ders[i][j](a) for i in range(n + 1)])
-        for j in range(n - k):
-            rows.append([ders[i][j](b) for i in range(n + 1)])
+        rows = at_a[:k] + at_b[:n - k]
         if rows:
             null = solve_linear(rows).nullspace
         else:  # n == 0: no conditions, the space itself
@@ -326,7 +326,10 @@ def derived_space(space: MonomialSpace, f0: Polynomial) -> Union[DerivedSpaceRep
             coordinates(img, independent)
         except NotInSpace:
             independent.append(img)
-    assert len(independent) == space.order, "derived space dimension defect"
+    if len(independent) != space.order:
+        raise IdentityViolation(
+            f"derived space has dimension {len(independent)}, expected {space.order}"
+        )
 
     result = basis_from_generators(independent, space.a, space.b)
     if isinstance(result, NoBasisReport):

@@ -2,17 +2,19 @@
 
 Everything here runs over exact rationals: Sturm chains give exact counts
 of distinct real roots, classifications carry checkable witnesses, and
-bisection midpoint signs never see a float.
+bisection midpoint signs never see a float.  Every test that needs only a
+sign uses `Polynomial.sign_at`, which builds no Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from .errors import NoBracket, ZeroPolynomial
+from .errors import BadTolerance, NoBracket, ZeroPolynomial
 from .polynomial import Polynomial
-from .rational import as_rational, format_rational, sign
+from .rational import as_rational, format_rational
 
 STRICTLY_POSITIVE = "strictly-positive"
 NONNEG_INTERIOR_ZEROS = "non-negative-with-interior-zeros"
@@ -29,7 +31,8 @@ class SturmChain:
     sequence: tuple
 
     def variations(self, x) -> int:
-        signs = [sign(p(x)) for p in self.sequence]
+        x = as_rational(x)
+        signs = [p.sign_at(x) for p in self.sequence]
         signs = [s for s in signs if s != 0]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -125,9 +128,9 @@ def sturm_count(
         raise ValueError("need lo < hi")
     chain = sturm_chain(p)
     count = chain.variations(lo) - chain.variations(hi)  # roots in (lo, hi]
-    if include_lo and p(lo) == 0:
+    if include_lo and p.sign_at(lo) == 0:
         count += 1
-    if not include_hi and p(hi) == 0:
+    if not include_hi and p.sign_at(hi) == 0:
         count -= 1
     return count
 
@@ -141,15 +144,18 @@ def isolate_roots(p: Polynomial, a, b) -> list:
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    a, b = as_rational(a), as_rational(b)
-    sf = p.squarefree_part()
-    if sf.degree <= 0:
+    if p.degree <= 0:
         return []
-    chain = sturm_chain(sf)
+    return _isolate(sturm_chain(p), as_rational(a), as_rational(b))
+
+
+def _isolate(chain: SturmChain, a: Fraction, b: Fraction) -> list:
+    """isolate_roots for the square-free chain.sequence[0], reusing its chain."""
+    sf = chain.sequence[0]
 
     def open_count(lo, hi):
         c = chain.variations(lo) - chain.variations(hi)
-        if sf(hi) == 0:
+        if sf.sign_at(hi) == 0:
             c -= 1
         return c
 
@@ -159,11 +165,11 @@ def isolate_roots(p: Polynomial, a, b) -> list:
         lo, hi, k = stack.pop()
         if k == 0:
             continue
-        if k == 1 and sf(lo) != 0 and sf(hi) != 0:
+        if k == 1 and sf.sign_at(lo) != 0 and sf.sign_at(hi) != 0:
             out.append(RootEnclosure(lo, hi))
             continue
         mid = (lo + hi) / 2
-        if sf(mid) == 0:
+        if sf.sign_at(mid) == 0:
             out.append(RootEnclosure(mid, mid))
         stack.append((lo, mid, open_count(lo, mid)))
         stack.append((mid, hi, open_count(mid, hi)))
@@ -187,7 +193,7 @@ def classify_on_interval(p: Polynomial, a, b) -> SignClassification:
     enclosures = isolate_roots(p, a, b)
     if not enclosures:
         m = (a + b) / 2
-        s = sign(p(m))
+        s = p.sign_at(m)
         verdict = STRICTLY_POSITIVE if s > 0 else STRICTLY_NEGATIVE
         return SignClassification(verdict, (SampleWitness(m, s),))
 
@@ -197,7 +203,7 @@ def classify_on_interval(p: Polynomial, a, b) -> SignClassification:
     cursor = a
     for enc in enclosures:
         if cursor == enc.lo:
-            if p(cursor) != 0:
+            if p.sign_at(cursor) != 0:
                 points.append(cursor)
         else:
             points.append((cursor + enc.lo) / 2)
@@ -207,7 +213,7 @@ def classify_on_interval(p: Polynomial, a, b) -> SignClassification:
     witnesses = []
     signs = set()
     for x in points:
-        s = sign(p(x))
+        s = p.sign_at(x)
         if s == 0:  # only possible at the closed-boundary samples a or b
             continue
         signs.add(s)
@@ -223,60 +229,65 @@ def classify_on_interval(p: Polynomial, a, b) -> SignClassification:
     return SignClassification(verdict, tuple(witnesses))
 
 
-def rational_roots(p: Polynomial, divisor_cap: int = 10**7) -> list:
-    """Exact rational roots of p, via the rational root theorem.
+def rational_roots(p: Polynomial) -> list:
+    """Exact rational roots of p, sorted, whatever the coefficient size.
 
-    Returns [] (possibly missing roots) when the cleared-integer endpoints
-    exceed divisor_cap; callers fall back to bisection in that case.
+    The root 0 is split off as a power of x; the other real roots are
+    isolated inside the Cauchy bound and each enclosure is tested by
+    `rational_root_in`.
     """
     if p.is_zero:
         raise ZeroPolynomial("roots of the zero polynomial")
-    prim = p.primitive()
-    ints = [c.numerator for c in prim.coeffs]  # primitive => integer coeffs
-    shift = 0
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        shift += 1
+    coeffs = p.coeffs
+    shift = next(i for i, c in enumerate(coeffs) if c != 0)
     roots = [Fraction(0)] if shift else []
-    if len(ints) <= 1:
+    q = Polynomial(coeffs[shift:])
+    if q.degree <= 0:
         return roots
-    if len(ints) == 2:
-        roots.append(Fraction(-ints[0], ints[1]))
-        return sorted(set(roots))
-    a0, an = abs(ints[0]), abs(ints[-1])
-    if a0 > divisor_cap or an > divisor_cap:
-        return roots
+    bound = 1 + max(abs(c) for c in q.coeffs[:-1]) / abs(q.leading)
+    chain = sturm_chain(q)
+    for enc in _isolate(chain, -bound, bound):
+        root = rational_root_in(chain.sequence[0], enc)
+        if root is not None:
+            roots.append(root)
+    return sorted(roots)
 
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return out
 
-    candidates = set()
-    for num in divisors(a0):
-        for den in divisors(an):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    poly = Polynomial(ints)
-    roots.extend(c for c in candidates if poly(c) == 0)
-    return sorted(set(roots))
+def rational_root_in(p: Polynomial, enc: RootEnclosure) -> Optional[Fraction]:
+    """The root of p in enc when it is rational, else None.
+
+    enc is exact or brackets a sign change of p around its only root, as
+    `bisect_root` and `isolate_roots` return them (the latter for the
+    square-free part).  With N the leading coefficient of the primitive
+    integer form of p, a rational root has a denominator dividing N, and
+    two distinct such rationals lie at least 1/N^2 apart.  So once a copy
+    of enc is halved to width 1/(2 N^2), the only candidate is the fraction
+    nearest its midpoint with denominator at most N, tested exactly.
+    """
+    if enc.is_exact:
+        return enc.lo
+    n = int(abs(p.primitive().leading))
+    fine = bisect_root(p, enc.lo, enc.hi, Fraction(1, 2 * n * n))
+    if fine.is_exact:
+        return fine.lo
+    candidate = fine.midpoint().limit_denominator(n)
+    if fine.lo < candidate < fine.hi and p.sign_at(candidate) == 0:
+        return candidate
+    return None
 
 
 def bisect_root(p: Polynomial, lo, hi, tol) -> RootEnclosure:
     """Certified bisection enclosure of width <= tol for a sign change of p.
 
     Endpoint roots and exact midpoint hits come back with zero width.
-    Raises NoBracket when the exact endpoint signs agree and neither
-    endpoint is a root.
+    Raises BadTolerance unless tol > 0, and NoBracket when the exact
+    endpoint signs agree and neither endpoint is a root.
     """
     lo, hi = as_rational(lo), as_rational(hi)
     tol = as_rational(tol)
-    s_lo, s_hi = sign(p(lo)), sign(p(hi))
+    if tol <= 0:
+        raise BadTolerance(f"tolerance must be positive, got {format_rational(tol)}")
+    s_lo, s_hi = p.sign_at(lo), p.sign_at(hi)
     if s_lo == 0:
         return RootEnclosure(lo, lo)
     if s_hi == 0:
@@ -287,7 +298,7 @@ def bisect_root(p: Polynomial, lo, hi, tol) -> RootEnclosure:
         )
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        s = sign(p(mid))
+        s = p.sign_at(mid)
         if s == 0:
             return RootEnclosure(mid, mid)
         if s == s_lo:

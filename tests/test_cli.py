@@ -1,5 +1,11 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from bernstein_forge import cli
 from bernstein_forge.corpus import CASES, run_corpus
@@ -75,6 +81,22 @@ class TestExitCodes:
     def test_operator_nonexistent(self, capsys):
         assert cli.main(["operator", PROBLEM_RANGE]) == 3
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tol, message",
+        [("0", "tolerance must be positive"), ("-1", "tolerance must be positive"),
+         ("1", "overlap at tol 1")],
+    )
+    def test_operator_bad_tolerance(self, tol, message):
+        # A subprocess with a timeout, so that a hang fails instead of stalling.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "bernstein_forge.cli", "operator", PROBLEM_GAP, "--tol", tol],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and message in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_corpus_clean(self, capsys):
         assert cli.main(["corpus"]) == 0

@@ -5,6 +5,7 @@ import pytest
 
 from bernstein_forge import (
     ArityMismatch,
+    BadTolerance,
     F0NotPositive,
     OperatorProblem,
     Polynomial,
@@ -201,6 +202,21 @@ class TestBuildOperator:
         report = existence_report(problem([0, 1, 2, 3, 6], -1, 1, ONE, X3))
         with pytest.raises(ToleranceTooLoose):
             build_operator(report, tol=1)
+
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_non_positive_tolerance_rejected(self, tol):
+        rep = existence_report(problem([0, 1, 2, 3, 6], -1, 1, ONE, X3))
+        with pytest.raises(BadTolerance):
+            build_operator(rep, tol)
+
+    def test_rational_node_with_large_denominator_is_exact(self):
+        # f1 = x^2 on [s^2, t^2]: the middle node is sqrt(s^2 t^2) = s t,
+        # whose denominator 10007^2 exceeds 10^7.
+        s, t = Fraction(10001, 10007), Fraction(20011, 10007)
+        rep = existence_report(problem([0, 1, 2], s * s, t * t, ONE, Polynomial.monomial(2)))
+        spec = build_operator(rep)
+        assert [(e.lo, e.hi) for e in spec.nodes] == [(s * s, s * s), (s * t, s * t), (t * t, t * t)]
+        assert spec.weights == (1, 1, 1)
 
     def test_rejects_nonexistent(self):
         report = existence_report(problem([0, 1, 2, 3], -1, 2, ONE, X3))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernstein_forge import NonExactDivision, Polynomial
+from bernstein_forge.rational import sign
 
 
 def horner_free_eval(coeffs, x):
@@ -17,6 +18,28 @@ rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
 polys = st.lists(rationals, min_size=0, max_size=7).map(Polynomial)
+
+
+def reference_eval(p, x):
+    """Horner's rule over Fractions: the reference for the integer kernel."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# Integers (negative too), small fractions, and denominators above 2^64.
+wide_rationals = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6).map(Fraction),
+    rationals,
+    st.builds(
+        Fraction,
+        st.integers(min_value=-2**80, max_value=2**80),
+        st.integers(min_value=2**64 + 1, max_value=2**72),
+    ),
+)
+wide_polys = st.lists(wide_rationals, min_size=0, max_size=8).map(Polynomial)
 
 
 class TestEval:
@@ -44,6 +67,35 @@ class TestEval:
     @settings(max_examples=30, deadline=None)
     def test_horner_matches_term_by_term(self, p, x):
         assert p(x) == horner_free_eval(p.coeffs, x)
+
+
+class TestIntegerKernel:
+    @given(wide_polys, wide_rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_eval_matches_fraction_horner(self, p, x):
+        assert p(x) == reference_eval(p, x)
+
+    @given(wide_polys, wide_rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_sign_at_matches_fraction_horner(self, p, x):
+        assert p.sign_at(x) == sign(reference_eval(p, x))
+
+    @given(wide_polys, wide_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_sign_at_zero_on_a_root(self, q, r):
+        p = (Polynomial.monomial(1) - Polynomial([r])) * q
+        assert p(r) == reference_eval(p, r) == 0
+        assert p.sign_at(r) == 0
+
+    @pytest.mark.parametrize("x", [Fraction(-7, 3), 0, 5, Fraction(3, 2**65 + 1)])
+    def test_zero_and_constants(self, x):
+        assert Polynomial.zero()(x) == 0 and Polynomial.zero().sign_at(x) == 0
+        c = Fraction(-5, 2**65 + 1)
+        assert Polynomial([c])(x) == c and Polynomial([c]).sign_at(x) == -1
+
+    def test_integer_argument_gives_fraction(self):
+        value = Polynomial.from_sparse("0:1/2,3:-1")(-2)
+        assert isinstance(value, Fraction) and value == Fraction(17, 2)
 
 
 class TestDerivative:

@@ -1,19 +1,24 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernstein_forge import (
+    BadTolerance,
     NoBracket,
     Polynomial,
     ZeroPolynomial,
     bisect_root,
     classify_on_interval,
     isolate_roots,
+    rational_root_in,
     rational_roots,
+    sturm_chain,
     sturm_count,
 )
+from bernstein_forge.rational import sign
 
 X = Polynomial.monomial(1)
 ONE = Polynomial.one()
@@ -21,6 +26,32 @@ ONE = Polynomial.one()
 
 def linear(root):
     return X - Polynomial([Fraction(root)])
+
+
+# Rationals in (-2, 2), many with denominators above 10^7.
+big_denominator_roots = st.one_of(
+    st.fractions(min_value=-1, max_value=1, max_denominator=50),
+    st.integers(min_value=10**7 + 1, max_value=10**15).flatmap(
+        lambda d: st.integers(min_value=-2 * d + 1, max_value=2 * d - 1).map(
+            lambda k: Fraction(k, d)
+        )
+    ),
+)
+# Factors without a rational root and without a real root in [-2, 2]:
+# x^2 + c has none at all, x^2 - 5 and x^3 - 9 have irrational ones outside.
+node_factors = st.one_of(
+    st.fractions(min_value=Fraction(1, 10**9), max_value=10**6).map(
+        lambda c: Polynomial([c, 0, 1])
+    ),
+    st.just(Polynomial.from_sparse("0:-5,2:1")),
+    st.just(Polynomial.from_sparse("0:-9,3:1")),
+)
+# ... and with irrational roots inside [-2, 2] as well.
+irrational_factors = st.one_of(
+    node_factors,
+    st.just(Polynomial.from_sparse("0:-2,2:1")),
+    st.just(Polynomial.from_sparse("0:-3,3:1")),
+)
 
 
 class TestSturmCount:
@@ -67,6 +98,35 @@ class TestSturmCount:
             p = p * linear(r)
         want = sum(1 for r in roots if lo < r < hi)
         assert sturm_count(p, lo, hi, include_lo=False, include_hi=False) == want
+
+
+def reference_sign(p, x):
+    """Sign of p(x) by Horner's rule over Fractions: the reference for sign_at."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return sign(acc)
+
+
+class TestChainSigns:
+    @given(
+        st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=2**70),
+            min_size=2,
+            max_size=6,
+        ).map(Polynomial).filter(lambda p: p.degree >= 1),
+        st.one_of(
+            st.integers(min_value=-6, max_value=6).map(Fraction),
+            st.fractions(min_value=-6, max_value=6, max_denominator=2**70),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_variations_match_fraction_signs(self, p, x):
+        chain = sturm_chain(p)
+        signs = [reference_sign(q, x) for q in chain.sequence]
+        signs = [s for s in signs if s != 0]
+        want = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        assert chain.variations(x) == want
 
 
 class TestClassify:
@@ -152,6 +212,11 @@ class TestBisect:
         assert not enc.is_exact
         assert p(enc.lo) * p(enc.hi) < 0
 
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_non_positive_tolerance_rejected(self, tol):
+        with pytest.raises(BadTolerance):
+            bisect_root(Polynomial.from_sparse("0:-2,2:1"), 0, 2, tol)
+
     def test_serialization(self):
         p = linear(Fraction(1, 2))
         enc = bisect_root(p, Fraction(1, 2), 1, Fraction(1, 10))
@@ -165,6 +230,39 @@ class TestRationalRoots:
 
     def test_irrational_only(self):
         assert rational_roots(Polynomial.from_sparse("0:-2,2:1")) == []
+
+    def test_large_coefficients_not_capped(self):
+        r = Fraction(123456791, 98765431)
+        assert rational_roots(linear(r) * Polynomial.from_sparse("0:1,2:1")) == [r]
+
+    @given(big_denominator_roots, irrational_factors)
+    @settings(max_examples=40, deadline=None)
+    def test_rational_root_among_irrational_ones(self, r, factor):
+        roots = rational_roots(linear(r) * linear(r) * factor * X)
+        assert roots == sorted({Fraction(0), r})
+
+
+class TestNodeRecovery:
+    """bisect_root, then rational_root_in: the node search of build_operator."""
+
+    @given(big_denominator_roots, node_factors,
+           st.fractions(min_value=Fraction(-9, 2), max_value=Fraction(9, 2), max_denominator=10**9)
+           .filter(lambda c: c != 0),
+           st.sampled_from([Fraction(1, 10), Fraction(1, 10**12), Fraction(1, 10**60)]))
+    @settings(max_examples=60, deadline=None)
+    def test_rational_node_comes_back_exact(self, r, factor, scale, tol):
+        p = (linear(r) * factor).scale(scale)
+        enc = bisect_root(p, -2, 2, tol)
+        assert rational_root_in(p, enc) == r
+
+    @given(st.integers(min_value=2, max_value=10**9).filter(lambda m: isqrt(m) ** 2 != m),
+           st.sampled_from([Fraction(1, 10), Fraction(1, 10**30)]))
+    @settings(max_examples=40, deadline=None)
+    def test_irrational_node_gives_none(self, m, tol):
+        p = Polynomial([-m, 0, 1])  # root sqrt(m), irrational
+        enc = bisect_root(p, 0, m, tol)
+        assert not enc.is_exact
+        assert rational_root_in(p, enc) is None
 
 
 class TestIsolation:
