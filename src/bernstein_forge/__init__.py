@@ -48,6 +48,7 @@ from .spaces import (
     coordinates,
     derived_space,
     normalize_partition_of_unity,
+    normalize_when_possible,
 )
 from .sturm import (
     RootEnclosure,

@@ -5,8 +5,9 @@ JSON, inline or by file path; all rationals travel as exact "p/q" text.
 Exit codes are a stable contract:
 
     0  success (basis found / operator exists / corpus clean)
-    1  malformed input, including a non-positive `--tol` or one too loose
-       to separate the nodes (`operator`)
+    1  malformed input (including fields of the wrong type), a failed
+       internal check, or for `operator` a negative `--samples`, a
+       non-positive `--tol` or one too loose to separate the nodes
     2  no Bernstein basis (`basis`)
     3  operator does not exist (`exists`, `operator`)
     4  problem hypotheses failed certification
@@ -30,8 +31,7 @@ from .operator import (
 )
 from .corpus import run_corpus
 from .rational import as_rational, format_decimal, format_rational
-from .spaces import MonomialSpace, NoBasisReport, bernstein_basis, normalize_partition_of_unity
-from .errors import ConstantNotInSpace
+from .spaces import MonomialSpace, NoBasisReport, bernstein_basis, normalize_when_possible
 
 PRECISION_ENV = "BERNSTEIN_FORGE_PRECISION"
 
@@ -64,25 +64,25 @@ def dump_json(payload) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _basis_or_report(space_obj):
-    space = MonomialSpace.from_json(space_obj)
-    result = bernstein_basis(space)
-    if isinstance(result, NoBasisReport):
-        return space, result
-    try:
-        result = normalize_partition_of_unity(result)
-    except (ConstantNotInSpace, BernsteinForgeError):
-        pass
-    return space, result
+# Errors that end a command with a refusal (json.JSONDecodeError is a ValueError).
+_REFUSALS = (BernsteinForgeError, ValueError, KeyError, OSError)
+
+
+def _refuse(exc: Exception) -> int:
+    """Report a refusal on stderr; exit 4 for failed hypotheses, else 1."""
+    if isinstance(exc, (F0NotPositive, RatioNotMonotone)):
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return 4
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 def cmd_basis(args) -> int:
     try:
-        descriptor = _load_descriptor(args.space)
-        space, result = _basis_or_report(descriptor)
-    except (BernsteinForgeError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        space = MonomialSpace.from_json(_load_descriptor(args.space))
+        result = normalize_when_possible(bernstein_basis(space))
+    except _REFUSALS as exc:
+        return _refuse(exc)
     if isinstance(result, NoBasisReport):
         print(f"no Bernstein basis: {result.kind} at k={result.index}"
               + (f" (endpoint {result.endpoint})" if result.endpoint else ""))
@@ -133,12 +133,8 @@ def _existence(args):
 def cmd_exists(args) -> int:
     try:
         problem, report = _existence(args)
-    except (F0NotPositive, RatioNotMonotone) as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return 4
-    except (BernsteinForgeError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except _REFUSALS as exc:
+        return _refuse(exc)
     for line in _report_lines(report):
         print(line)
     if args.json:
@@ -148,18 +144,16 @@ def cmd_exists(args) -> int:
 
 def cmd_operator(args) -> int:
     try:
+        if args.samples is not None and args.samples < 0:
+            raise ValueError(f"--samples must be non-negative, got {args.samples}")
         problem, report = _existence(args)
         tol = as_rational(args.tol) if args.tol else DEFAULT_TOL
         if report.verdict != "exists":
             print(f"operator does not exist: {report.verdict}", file=sys.stderr)
             return 3
         spec = build_operator(report, tol)
-    except (F0NotPositive, RatioNotMonotone) as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return 4
-    except (BernsteinForgeError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except _REFUSALS as exc:
+        return _refuse(exc)
     digits = _precision()
     out = sys.stderr if args.samples else sys.stdout
 

@@ -19,13 +19,7 @@ from .operator import (
 )
 from .polynomial import Polynomial
 from .rational import format_rational
-from .spaces import (
-    NoBasisReport,
-    bernstein_basis,
-    build_space,
-    derived_space,
-    normalize_partition_of_unity,
-)
+from .spaces import NoBasisReport, bernstein_basis, build_space, derived_space
 
 X3 = Polynomial.from_sparse("3:1")
 ONE = Polynomial.one()
@@ -47,8 +41,11 @@ class CorpusCase:
         return mismatches
 
 
-def _existence_actual(space, f1, f0=ONE) -> dict:
-    report = existence_report(OperatorProblem(space, f0, f1))
+def _report(space, f1=X3):
+    return existence_report(OperatorProblem(space, ONE, f1))
+
+
+def _existence_fields(report) -> dict:
     out = {"verdict": report.verdict}
     if report.gamma is not None:
         out["gamma"] = [format_rational(g) for g in report.gamma]
@@ -62,17 +59,17 @@ def _existence_actual(space, f1, f0=ONE) -> dict:
     return out
 
 
-def _case_e1() -> dict:
-    space = build_space([0, 3], -1, 1)
-    basis = normalize_partition_of_unity(bernstein_basis(space))
-    out = {
+def _basis_fields(basis) -> dict:
+    return {
         "grade": basis.grade,
         "positivity": basis.positivity,
         "elements": [p.to_sparse() for p in basis.elements],
     }
-    report = existence_report(OperatorProblem(space, ONE, X3))
-    out["verdict"] = report.verdict
-    out["gamma"] = [format_rational(g) for g in report.gamma]
+
+
+def _case_e1() -> dict:
+    report = _report(build_space([0, 3], -1, 1))
+    out = {**_basis_fields(report.basis), **_existence_fields(report)}
     spec = build_operator(report)
     out["nodes"] = [e.to_json() for e in spec.nodes]
     out["weights"] = [format_rational(w) for w in spec.weights]
@@ -84,11 +81,7 @@ def _case_e1() -> dict:
 
 def _case_e2_sym() -> dict:
     basis = bernstein_basis(build_space([0, 1, 3], -1, 1))
-    return {
-        "grade": basis.grade,
-        "elements": [p.to_sparse() for p in basis.elements],
-        "middle_verdict": basis.classifications[1].verdict,
-    }
+    return {**_basis_fields(basis), "middle_verdict": basis.classifications[1].verdict}
 
 
 def _case_e2_shifted() -> dict:
@@ -99,9 +92,8 @@ def _case_e2_shifted() -> dict:
 
 
 def _case_p3_sym() -> dict:
-    space = build_space([0, 1, 2, 3], -1, 1)
-    out = _existence_actual(space, X3)
-    report = existence_report(OperatorProblem(space, ONE, X3))
+    report = _report(build_space([0, 1, 2, 3], -1, 1))
+    out = _existence_fields(report)
     spec = build_operator(report)
     out["nodes"] = [e.to_json() for e in spec.nodes]
     out["weights"] = [format_rational(w) for w in spec.weights]
@@ -114,47 +106,30 @@ def _case_p3_sym() -> dict:
 
 
 def _case_p3_shifted() -> dict:
-    return _existence_actual(build_space([0, 1, 2, 3], -1, 2), X3)
+    return _existence_fields(_report(build_space([0, 1, 2, 3], -1, 2)))
 
 
 def _case_p4_shifted() -> dict:
-    return _existence_actual(build_space([0, 1, 2, 3, 4], -1, 2), X3)
+    return _existence_fields(_report(build_space([0, 1, 2, 3, 4], -1, 2)))
 
 
 def _case_ex1() -> dict:
-    space = build_space([0, 1, 2, 3, 6], -1, 1)
-    basis = normalize_partition_of_unity(bernstein_basis(space))
-    out = {
-        "grade": basis.grade,
-        "positivity": basis.positivity,
-        "elements": [p.to_sparse() for p in basis.elements],
-    }
-    report = existence_report(OperatorProblem(space, ONE, X3))
-    out["verdict"] = report.verdict
-    out["gamma"] = [format_rational(g) for g in report.gamma]
-    spec = build_operator(report)
-    out["node_order"] = spec.node_order()
+    report = _report(build_space([0, 1, 2, 3, 6], -1, 1))
+    out = {**_basis_fields(report.basis), **_existence_fields(report)}
+    out["node_order"] = build_operator(report).node_order()
     return out
 
 
 def _case_ex2() -> dict:
-    space = build_space([0, 1, 2, 3, 6], -1, 2)
-    basis = normalize_partition_of_unity(bernstein_basis(space))
-    out = {
-        "grade": basis.grade,
-        "positivity": basis.positivity,
-        "elements": [p.to_sparse() for p in basis.elements],
-    }
-    report = existence_report(OperatorProblem(space, ONE, X3))
-    out["verdict"] = report.verdict
+    report = _report(build_space([0, 1, 2, 3, 6], -1, 2))
+    out = {**_basis_fields(report.basis), **_existence_fields(report)}
     out["gamma_2"] = format_rational(report.gamma[2])
     return out
 
 
 def _case_counterexample_w() -> dict:
-    space = build_space([0, 1, 2, 3], 0, 1)
     f1 = Polynomial.from_sparse("1:3/8,2:-1/2,3:1/3")
-    return _existence_actual(space, f1)
+    return _existence_fields(_report(build_space([0, 1, 2, 3], 0, 1), f1))
 
 
 def _case_derived_e4() -> dict:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     ArityMismatch,
     BadTolerance,
-    ConstantNotInSpace,
     DerivedBasisUnavailable,
     F0NotPositive,
     IdentityViolation,
@@ -38,7 +37,7 @@ from .spaces import (
     certify_positive_on_closed,
     coordinates,
     derived_space,
-    normalize_partition_of_unity,
+    normalize_when_possible,
 )
 from .sturm import (
     NONNEG_INTERIOR_ZEROS,
@@ -84,11 +83,20 @@ class OperatorProblem:
 
     @classmethod
     def from_json(cls, obj) -> "OperatorProblem":
+        if not isinstance(obj, dict):
+            raise ValueError(f"problem descriptor must be a JSON object, got {obj!r}")
         return cls(
             space=MonomialSpace.from_json(obj["space"]),
-            f0=Polynomial.from_sparse(obj["f0"]),
-            f1=Polynomial.from_sparse(obj["f1"]),
+            f0=_polynomial_field(obj, "f0"),
+            f1=_polynomial_field(obj, "f1"),
         )
+
+
+def _polynomial_field(obj: dict, key: str) -> Polynomial:
+    text = obj[key]
+    if not isinstance(text, str):
+        raise ValueError(f"{key} must be a sparse polynomial string, got {text!r}")
+    return Polynomial.from_sparse(text)
 
 
 def ratio_numerator(problem: OperatorProblem) -> Polynomial:
@@ -128,17 +136,6 @@ def certify_problem(problem: OperatorProblem):
     if token == RATIO_NOT_MONOTONE:
         raise RatioNotMonotone(f"(f1/f0)' is {cls.verdict} on the interval")
     return token
-
-
-def problem_basis(problem: OperatorProblem) -> Union[BernsteinBasis, NoBasisReport]:
-    """The basis the operator theory works in: normalized when possible."""
-    basis = bernstein_basis(problem.space)
-    if isinstance(basis, NoBasisReport) or basis.positivity == GRADE_SIGNED:
-        return basis
-    try:
-        return normalize_partition_of_unity(basis)
-    except ConstantNotInSpace:
-        return basis
 
 
 def w_coefficients(problem: OperatorProblem, rep: Optional[DerivedSpaceRep] = None):
@@ -222,7 +219,7 @@ def existence_report(problem: OperatorProblem) -> ExistenceReport:
     comparisons, equivalent to the nodes lying in [a, b]).
     """
     ratio_cert = certify_problem(problem)
-    basis = problem_basis(problem)
+    basis = normalize_when_possible(bernstein_basis(problem.space))
     if isinstance(basis, NoBasisReport):
         return ExistenceReport(problem, VERDICT_NO_BASIS, no_basis=basis,
                                ratio_certificate=ratio_cert)
@@ -447,12 +444,10 @@ class StructuralDiagnostics:
 
 
 def structural_diagnostics(problem: OperatorProblem) -> StructuralDiagnostics:
-    basis = problem_basis(problem)
+    basis = normalize_when_possible(bernstein_basis(problem.space))
     if isinstance(basis, NoBasisReport):
         raise DerivedBasisUnavailable(f"no Bernstein basis: {basis.to_json()}")
     rep = derived_space(problem.space, problem.f0)
-    if isinstance(rep, NoBasisReport):
-        raise DerivedBasisUnavailable(f"derived basis refused: {rep.to_json()}")
     w, w_summary = w_coefficients(problem, rep)
     beta = coordinates(problem.f0, basis)
     gamma = coordinates(problem.f1, basis)

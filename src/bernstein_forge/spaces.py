@@ -73,16 +73,26 @@ class MonomialSpace:
 
     @classmethod
     def from_json(cls, obj) -> "MonomialSpace":
+        if not isinstance(obj, dict):
+            raise ValueError(f"space descriptor must be a JSON object, got {obj!r}")
         return build_space(obj["exponents"], obj["a"], obj["b"])
 
 
 def build_space(exponents, a, b) -> MonomialSpace:
-    exps = tuple(int(e) for e in exponents)
+    """The span of x^e over [a, b]; exponents are ints, a and b exact rationals."""
+    if not isinstance(exponents, (list, tuple, range)) or not all(
+        isinstance(e, int) and not isinstance(e, bool) for e in exponents
+    ):
+        raise BadExponents(f"exponents must be a list of integers, got {exponents!r}")
+    exps = tuple(exponents)
     if not exps or any(e < 0 for e in exps) or any(
         x >= y for x, y in zip(exps, exps[1:])
     ):
         raise BadExponents(f"exponents must be non-negative, strictly increasing: {exps}")
-    a, b = as_rational(a), as_rational(b)
+    try:
+        a, b = as_rational(a), as_rational(b)
+    except TypeError as exc:
+        raise BadInterval(f"interval endpoints must be integers or \"p/q\" strings: {exc}") from None
     if not a < b:
         raise BadInterval(f"need a < b, got [{format_rational(a)}, {format_rational(b)}]")
     return MonomialSpace(exps, a, b)
@@ -171,8 +181,8 @@ def basis_from_generators(generators, a, b) -> Union[BernsteinBasis, NoBasisRepo
         for _ in range(n):
             column.append(column[-1].derivative())
     # Row j of each table: the j-th derivatives of the generators at a (b).
-    at_a = [[column[j](a) for column in ders] for j in range(n)]
-    at_b = [[column[j](b) for column in ders] for j in range(n)]
+    at_a = [[column[j](a) for column in ders] for j in range(n + 1)]
+    at_b = [[column[j](b) for column in ders] for j in range(n + 1)]
 
     elements = []
     failures = []
@@ -189,19 +199,17 @@ def basis_from_generators(generators, a, b) -> Union[BernsteinBasis, NoBasisRepo
         p = Polynomial.zero()
         for c, g in zip(coords, generators):
             p = p + g.scale(c)
-        if p.derivative(k)(a) == 0:
-            failures.append(
-                NoBasisReport(k, FORCED_EXTRA_ZERO, endpoint="a", witness=p.primitive())
-            )
-            continue
-        if p.derivative(n - k)(b) == 0:
-            failures.append(
-                NoBasisReport(k, FORCED_EXTRA_ZERO, endpoint="b", witness=p.primitive())
-            )
+        # p^(k)(a) and p^(n-k)(b), read from the tables.
+        m = n - k
+        da = sum(c * v for c, v in zip(coords, at_a[k]))
+        db = sum(c * v for c, v in zip(coords, at_b[m]))
+        if da == 0 or db == 0:
+            failures.append(NoBasisReport(
+                k, FORCED_EXTRA_ZERO, endpoint="a" if da == 0 else "b", witness=p.primitive()
+            ))
             continue
         # Orient positive just inside b: sign there is p^(n-k)(b) * (-1)^(n-k).
-        m = n - k
-        if sign(p.derivative(m)(b)) * (-1) ** m < 0:
+        if sign(db) * (-1) ** m < 0:
             p = -p
         elements.append(p.primitive())
     if failures:
@@ -255,6 +263,23 @@ def normalize_partition_of_unity(basis: BernsteinBasis) -> BernsteinBasis:
         a=basis.a,
         b=basis.b,
     )
+
+
+def normalize_when_possible(
+    result: Union[BernsteinBasis, NoBasisReport],
+) -> Union[BernsteinBasis, NoBasisReport]:
+    """The basis the operator theory works in: normalized when possible.
+
+    A refusal report or a signed basis passes through unchanged, and so
+    does a basis whose span lacks the constant 1; any other failure of the
+    normalization propagates.
+    """
+    if isinstance(result, NoBasisReport) or result.positivity == GRADE_SIGNED:
+        return result
+    try:
+        return normalize_partition_of_unity(result)
+    except ConstantNotInSpace:
+        return result
 
 
 def coordinates(f: Polynomial, basis: Union[BernsteinBasis, tuple, list]) -> tuple:
@@ -331,12 +356,7 @@ def derived_space(space: MonomialSpace, f0: Polynomial) -> Union[DerivedSpaceRep
             f"derived space has dimension {len(independent)}, expected {space.order}"
         )
 
-    result = basis_from_generators(independent, space.a, space.b)
+    result = normalize_when_possible(basis_from_generators(independent, space.a, space.b))
     if isinstance(result, NoBasisReport):
         return result
-    if result.positivity != GRADE_SIGNED:
-        try:
-            result = normalize_partition_of_unity(result)
-        except ConstantNotInSpace:
-            pass
     return DerivedSpaceRep(base_space=space, f0=f0, basis=result)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bernstein_forge import cli
+from bernstein_forge import IdentityViolation, cli, spaces
 from bernstein_forge.corpus import CASES, run_corpus
 
 SPACE_E1 = json.dumps({"exponents": [0, 3], "a": "-1", "b": "1"})
@@ -59,6 +59,12 @@ class TestExitCodes:
     def test_basis_none_exists(self, capsys):
         assert cli.main(["basis", SPACE_BAD]) == 2
         assert "forced-extra-zero" in capsys.readouterr().out
+
+    def test_basis_constant_not_in_span(self, capsys):
+        # span{x, x^2} on [1, 2]: a positive basis that cannot be normalized.
+        assert cli.main(["basis", '{"exponents":[1,2],"a":"1","b":"2"}']) == 0
+        out = capsys.readouterr().out
+        assert "grade     positive" in out and "normalized" not in out
 
     def test_exists_yes(self, capsys):
         assert cli.main(["exists", PROBLEM_E1]) == 0
@@ -114,6 +120,70 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "gamma" in captured.err
+
+
+class TestWrongTypes:
+    """Fields of the wrong type are refused with exit 1, never a traceback."""
+
+    SPACES = [
+        {"exponents": 3, "a": "0", "b": "1"},
+        {"exponents": [0, 1.5], "a": "0", "b": "1"},
+        {"exponents": [0, 1], "a": 0.5, "b": "1"},
+        {"exponents": [0, 1], "a": True, "b": "1"},
+    ]
+
+    @staticmethod
+    def refused(capsys, argv):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_space_fields_basis(self, capsys, space):
+        self.refused(capsys, ["basis", json.dumps(space)])
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_space_fields_exists(self, capsys, space):
+        problem = {"space": space, "f0": "0:1", "f1": "1:1"}
+        self.refused(capsys, ["exists", json.dumps(problem)])
+
+    def test_f1_not_a_string(self, capsys):
+        problem = {**json.loads(PROBLEM_E1), "f1": 3}
+        self.refused(capsys, ["exists", json.dumps(problem)])
+
+    def test_space_not_an_object(self, capsys):
+        problem = {**json.loads(PROBLEM_E1), "space": 3}
+        self.refused(capsys, ["exists", json.dumps(problem)])
+
+    @pytest.mark.parametrize("command", ["basis", "exists"])
+    def test_descriptor_not_an_object(self, tmp_path, capsys, command):
+        path = tmp_path / "descriptor.json"
+        path.write_text("[1,2]")
+        self.refused(capsys, [command, str(path)])
+
+    def test_unknown_keys_accepted(self, capsys):
+        problem = {**json.loads(PROBLEM_E1), "slot": 7}
+        assert cli.main(["exists", json.dumps(problem)]) == 0
+
+
+class TestRefusals:
+    def test_negative_samples(self, capsys):
+        assert cli.main(["operator", PROBLEM_CLASSICAL, "--samples", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+    def test_zero_samples_means_no_csv(self, capsys):
+        assert cli.main(["operator", PROBLEM_CLASSICAL, "--samples", "0"]) == 0
+        captured = capsys.readouterr()
+        assert "node order" in captured.out and "x," not in captured.out
+
+    def test_basis_internal_error_not_swallowed(self, capsys, monkeypatch):
+        def broken(basis):
+            raise IdentityViolation("partition of unity does not sum to 1")
+
+        monkeypatch.setattr(spaces, "normalize_partition_of_unity", broken)
+        assert cli.main(["basis", SPACE_E1]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestCorpusFilter:

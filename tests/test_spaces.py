@@ -18,6 +18,7 @@ from bernstein_forge import (
     coordinates,
     derived_space,
     normalize_partition_of_unity,
+    normalize_when_possible,
 )
 
 X = Polynomial.monomial(1)
@@ -52,6 +53,16 @@ class TestBuildSpace:
         with pytest.raises(BadInterval):
             build_space([0, 1], 1, 1)
 
+    @pytest.mark.parametrize("exponents", [3, "01", [0, 1.5], [0, True], [0, "1"]])
+    def test_exponents_must_be_integers(self, exponents):
+        with pytest.raises(BadExponents):
+            build_space(exponents, 0, 1)
+
+    @pytest.mark.parametrize("a", [0.5, True, None])
+    def test_endpoints_must_be_exact(self, a):
+        with pytest.raises(BadInterval):
+            build_space([0, 1], a, 1)
+
     def test_json_roundtrip(self):
         space = build_space([0, 1, 2, 3, 6], -1, 2)
         assert build_space(**{
@@ -76,6 +87,19 @@ class TestBernsteinBasis:
         assert result.index == 2 and result.endpoint == "b"
         # Witness is (a multiple of) (x+1)^2 (x-2), which vanishes at b.
         assert result.witness(2) == 0 and result.witness(-1) == 0
+
+    def test_forced_extra_zero_at_a(self):
+        result = bernstein_basis(build_space([0, 2], 0, 1))
+        assert isinstance(result, NoBasisReport)
+        assert (result.kind, result.index, result.endpoint) == ("forced-extra-zero", 1, "a")
+        assert result.witness.to_sparse() == "2:1"
+
+    def test_forced_extra_zero_at_a_order_zero(self):
+        # n = 0: no vanishing conditions, but x^2 vanishes at a itself.
+        result = bernstein_basis(build_space([2], 0, 1))
+        assert isinstance(result, NoBasisReport)
+        assert (result.kind, result.index, result.endpoint) == ("forced-extra-zero", 0, "a")
+        assert result.witness.to_sparse() == "2:1"
 
     def test_e2_symmetric_interval_signed(self):
         basis = bernstein_basis(build_space([0, 1, 3], -1, 1))
@@ -137,6 +161,21 @@ class TestNormalization:
         basis = bernstein_basis(build_space([1, 2], 1, 2))
         with pytest.raises(ConstantNotInSpace):
             normalize_partition_of_unity(basis)
+
+
+class TestNormalizeWhenPossible:
+    def test_normalizes_a_positive_basis(self):
+        basis = bernstein_basis(build_space([0, 3], -1, 1))
+        assert normalize_when_possible(basis) == normalize_partition_of_unity(basis)
+
+    @pytest.mark.parametrize("exponents, a, b", [
+        ([0, 1, 3], -1, 2),  # no basis: the refusal report
+        ([0, 1, 3], -1, 1),  # signed basis
+        ([1, 2], 1, 2),  # positive basis, constant not in the span
+    ])
+    def test_passes_through_unchanged(self, exponents, a, b):
+        result = bernstein_basis(build_space(exponents, a, b))
+        assert normalize_when_possible(result) is result
 
 
 class TestCoordinates:
