@@ -65,7 +65,7 @@ def dump_json(payload) -> str:
 
 
 # Errors that end a command with a refusal (json.JSONDecodeError is a ValueError).
-_REFUSALS = (BernsteinForgeError, ValueError, KeyError, OSError)
+_REFUSALS = (BernsteinForgeError, ValueError, OSError)
 
 
 def _refuse(exc: Exception) -> int:

@@ -37,6 +37,7 @@ from .spaces import (
     certify_positive_on_closed,
     coordinates,
     derived_space,
+    descriptor_fields,
     normalize_when_possible,
 )
 from .sturm import (
@@ -83,17 +84,15 @@ class OperatorProblem:
 
     @classmethod
     def from_json(cls, obj) -> "OperatorProblem":
-        if not isinstance(obj, dict):
-            raise ValueError(f"problem descriptor must be a JSON object, got {obj!r}")
+        space, f0, f1 = descriptor_fields(obj, "problem", ("space", "f0", "f1"))
         return cls(
-            space=MonomialSpace.from_json(obj["space"]),
-            f0=_polynomial_field(obj, "f0"),
-            f1=_polynomial_field(obj, "f1"),
+            space=MonomialSpace.from_json(space),
+            f0=_polynomial_field("f0", f0),
+            f1=_polynomial_field("f1", f1),
         )
 
 
-def _polynomial_field(obj: dict, key: str) -> Polynomial:
-    text = obj[key]
+def _polynomial_field(key: str, text) -> Polynomial:
     if not isinstance(text, str):
         raise ValueError(f"{key} must be a sparse polynomial string, got {text!r}")
     return Polynomial.from_sparse(text)
@@ -115,8 +114,6 @@ def certify_monotone_ratio(problem: OperatorProblem):
     if not certify_positive_on_closed(problem.f0, a, b):
         raise F0NotPositive("f0 must be strictly positive on [a, b]")
     n1 = ratio_numerator(problem)
-    if n1.is_zero:
-        return RATIO_NOT_MONOTONE, classify_on_interval(Polynomial.zero(), a, b)
     cls = classify_on_interval(n1, a, b)
     sa, sb = n1.sign_at(a), n1.sign_at(b)
     if cls.verdict == STRICTLY_POSITIVE and sa > 0 and sb > 0:

@@ -238,18 +238,6 @@ class Polynomial:
             return self
         return self.scale(1 / self.leading)
 
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd by the Euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else a
-
-    def squarefree_part(self) -> "Polynomial":
-        if self.is_zero or self.degree == 0:
-            return self
-        return self.div_exact(self.gcd(self.derivative()))
-
     def primitive(self) -> "Polynomial":
         """Clear denominators and divide by the integer content.
 

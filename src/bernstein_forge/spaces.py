@@ -73,9 +73,17 @@ class MonomialSpace:
 
     @classmethod
     def from_json(cls, obj) -> "MonomialSpace":
-        if not isinstance(obj, dict):
-            raise ValueError(f"space descriptor must be a JSON object, got {obj!r}")
-        return build_space(obj["exponents"], obj["a"], obj["b"])
+        return build_space(*descriptor_fields(obj, "space", ("exponents", "a", "b")))
+
+
+def descriptor_fields(obj, kind: str, keys: tuple) -> list:
+    """The values of keys in a JSON descriptor, refused unless all are there."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} descriptor must be a JSON object, got {obj!r}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{kind} descriptor is missing key {key!r}")
+    return [obj[key] for key in keys]
 
 
 def build_space(exponents, a, b) -> MonomialSpace:
@@ -319,8 +327,7 @@ class DerivedSpaceRep:
 
 def certify_positive_on_closed(p: Polynomial, a, b) -> bool:
     """Exact check that p > 0 on the closed interval [a, b]."""
-    a, b = as_rational(a), as_rational(b)
-    if p.is_zero or p(a) <= 0 or p(b) <= 0:
+    if p.sign_at(a) <= 0 or p.sign_at(b) <= 0:
         return False
     return classify_on_interval(p, a, b).verdict == STRICTLY_POSITIVE
 

@@ -26,7 +26,10 @@ IDENTICALLY_ZERO = "identically-zero"
 
 @dataclass(frozen=True)
 class SturmChain:
-    """Signed remainder sequence of a square-free polynomial and its derivative."""
+    """Sturm sequence of the square-free polynomial sequence[0].
+
+    variations(lo) - variations(hi) counts its distinct roots in (lo, hi].
+    """
 
     sequence: tuple
 
@@ -35,6 +38,11 @@ class SturmChain:
         signs = [p.sign_at(x) for p in self.sequence]
         signs = [s for s in signs if s != 0]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    def open_count(self, lo, hi) -> int:
+        """Number of distinct roots of sequence[0] in the open (lo, hi)."""
+        at_hi = self.sequence[0].sign_at(hi) == 0
+        return self.variations(lo) - self.variations(hi) - at_hi
 
 
 @dataclass(frozen=True)
@@ -94,18 +102,26 @@ class RootEnclosure:
 
 
 def sturm_chain(p: Polynomial) -> SturmChain:
-    """Sturm chain of the square-free part of p."""
+    """Sturm chain of the square-free part of p, from one remainder sequence.
+
+    The signed remainder sequence of (p, p') ends at g, gcd(p, p') up to a
+    constant.  Dividing each element by monic g, when g is not constant,
+    leaves a Sturm sequence of the square-free part p / g (Basu, Pollack &
+    Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).
+    """
     if p.is_zero:
         raise ZeroPolynomial("Sturm chain of the zero polynomial")
-    sf = p.squarefree_part()
-    seq = [sf]
-    if sf.degree > 0:
-        seq.append(sf.derivative())
+    seq = [p]
+    if p.degree > 0:
+        seq.append(p.derivative())
         while seq[-1].degree > 0:
             rem = seq[-2] % seq[-1]
             if rem.is_zero:
                 break
             seq.append(-rem)
+        if seq[-1].degree > 0:
+            g = seq[-1].monic()
+            seq = [q.div_exact(g) for q in seq]
     return SturmChain(tuple(seq))
 
 
@@ -126,12 +142,11 @@ def sturm_count(
     lo, hi = as_rational(lo), as_rational(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    chain = sturm_chain(p)
-    count = chain.variations(lo) - chain.variations(hi)  # roots in (lo, hi]
+    count = sturm_chain(p).open_count(lo, hi)
     if include_lo and p.sign_at(lo) == 0:
         count += 1
-    if not include_hi and p.sign_at(hi) == 0:
-        count -= 1
+    if include_hi and p.sign_at(hi) == 0:
+        count += 1
     return count
 
 
@@ -152,15 +167,8 @@ def isolate_roots(p: Polynomial, a, b) -> list:
 def _isolate(chain: SturmChain, a: Fraction, b: Fraction) -> list:
     """isolate_roots for the square-free chain.sequence[0], reusing its chain."""
     sf = chain.sequence[0]
-
-    def open_count(lo, hi):
-        c = chain.variations(lo) - chain.variations(hi)
-        if sf.sign_at(hi) == 0:
-            c -= 1
-        return c
-
     out = []
-    stack = [(a, b, open_count(a, b))]
+    stack = [(a, b, chain.open_count(a, b))]
     while stack:
         lo, hi, k = stack.pop()
         if k == 0:
@@ -171,8 +179,8 @@ def _isolate(chain: SturmChain, a: Fraction, b: Fraction) -> list:
         mid = (lo + hi) / 2
         if sf.sign_at(mid) == 0:
             out.append(RootEnclosure(mid, mid))
-        stack.append((lo, mid, open_count(lo, mid)))
-        stack.append((mid, hi, open_count(mid, hi)))
+        stack.append((lo, mid, chain.open_count(lo, mid)))
+        stack.append((mid, hi, chain.open_count(mid, hi)))
     out.sort(key=lambda e: e.lo)
     return out
 

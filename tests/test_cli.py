@@ -78,6 +78,13 @@ class TestExitCodes:
         assert cli.main(["exists", PROBLEM_NOT_MONOTONE]) == 4
         assert "certification failed" in capsys.readouterr().err
 
+    def test_exists_constant_ratio(self, capsys):
+        problem = {"space": {"exponents": [0, 1], "a": "0", "b": "1"},
+                   "f0": "0:1,1:1", "f1": "0:2,1:2"}
+        assert cli.main(["exists", json.dumps(problem)]) == 4
+        assert capsys.readouterr().err == (
+            "certification failed: (f1/f0)' is identically-zero on the interval\n")
+
     def test_operator_success(self, capsys):
         assert cli.main(["operator", PROBLEM_CLASSICAL]) == 0
         out = capsys.readouterr().out
@@ -164,6 +171,22 @@ class TestWrongTypes:
     def test_unknown_keys_accepted(self, capsys):
         problem = {**json.loads(PROBLEM_E1), "slot": 7}
         assert cli.main(["exists", json.dumps(problem)]) == 0
+
+
+class TestMissingKeys:
+    """A descriptor without a required key is refused by the key's name."""
+
+    @pytest.mark.parametrize("command, descriptor, key", [
+        ("exists", {"space": {"exponents": [0, 1], "a": "0", "b": "1"}, "f0": "0:1"}, "f1"),
+        ("exists", {"f0": "0:1", "f1": "1:1"}, "space"),
+        ("operator", {"space": {"exponents": [0, 1], "a": "0", "b": "1"}, "f1": "1:1"}, "f0"),
+        ("basis", {"exponents": [0, 1], "a": "0"}, "b"),
+    ])
+    def test_missing_key_named(self, capsys, command, descriptor, key):
+        assert cli.main([command, json.dumps(descriptor)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"missing key '{key}'" in err
 
 
 class TestRefusals:

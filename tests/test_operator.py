@@ -27,6 +27,7 @@ from bernstein_forge.operator import (
     MONO_NONE,
     MONO_STRICT,
     RATIO_CRITICAL,
+    RATIO_NOT_MONOTONE,
     RATIO_STRICT,
     VERDICT_EXISTS,
     VERDICT_NO_BASIS,
@@ -72,6 +73,12 @@ class TestCertification:
                     Polynomial.from_sparse("0:1,2:1"), X)
         token, _ = certify_monotone_ratio(p)
         assert token == RATIO_STRICT
+
+    def test_constant_ratio_is_identically_zero(self):
+        f0 = Polynomial.from_sparse("0:1,1:1")
+        token, cls = certify_monotone_ratio(problem([0, 1], 0, 1, f0, f0 * 2))
+        assert token == RATIO_NOT_MONOTONE
+        assert cls.verdict == "identically-zero"
 
 
 class TestExistence:

@@ -163,9 +163,3 @@ class TestRepresentation:
     def test_primitive_clears_denominators(self):
         p = Polynomial.from_sparse("0:1/2,1:3/4")
         assert p.primitive() == Polynomial.from_sparse("0:2,1:3")
-
-    def test_gcd_and_squarefree(self):
-        x = Polynomial.monomial(1)
-        one = Polynomial.one()
-        p = (x - one) * (x - one) * (x + one)
-        assert p.squarefree_part() == ((x - one) * (x + one)).monic()

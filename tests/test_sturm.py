@@ -100,6 +100,56 @@ class TestSturmCount:
         assert sturm_count(p, lo, hi, include_lo=False, include_hi=False) == want
 
 
+# Decimal stand-in for sqrt(2), closer to it than any fraction with
+# denominator at most 9, so comparisons with lo and hi are exact.
+SQRT2 = Fraction(14142135623730951, 10**16)
+# Optional square-free factor: none, x^2 - 2 (roots +-sqrt(2)), x^2 + 1.
+EXTRAS = [(ONE, ()), (Polynomial.from_sparse("0:-2,2:1"), (-SQRT2, SQRT2)),
+          (Polynomial.from_sparse("0:1,2:1"), ())]
+
+
+@st.composite
+def multiple_root_cases(draw):
+    """p = c * prod (x - r_i)^m_i * extra, and an interval that often ends on a root."""
+    roots = draw(st.dictionaries(
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        st.integers(min_value=1, max_value=4),
+        min_size=1, max_size=4,
+    ))
+    c = draw(st.sampled_from((1, -1))) * draw(
+        st.fractions(min_value=Fraction(1, 9), max_value=4, max_denominator=9))
+    extra, extra_roots = draw(st.sampled_from(EXTRAS))
+    endpoint = st.one_of(
+        st.sampled_from(sorted(roots)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=9),
+    )
+    lo, hi = sorted((draw(endpoint), draw(endpoint)))
+    if lo == hi:
+        hi += 1
+    p, sf = ONE.scale(c), ONE.scale(c)
+    for r, m in roots.items():
+        for _ in range(m):
+            p = p * linear(r)
+        sf = sf * linear(r)
+    return p * extra, sf * extra, sorted(roots) + list(extra_roots), lo, hi
+
+
+class TestMultipleRoots:
+    @given(multiple_root_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_isolation_and_squarefree_part(self, case):
+        p, sf, roots, lo, hi = case
+        inside = sum(1 for r in roots if lo < r < hi)
+        at_lo, at_hi = lo in roots, hi in roots
+        for include_lo in (False, True):
+            for include_hi in (False, True):
+                want = inside + (include_lo and at_lo) + (include_hi and at_hi)
+                got = sturm_count(p, lo, hi, include_lo=include_lo, include_hi=include_hi)
+                assert got == want
+        assert len(isolate_roots(p, lo, hi)) == inside
+        assert sturm_chain(p).sequence[0] == sf
+
+
 def reference_sign(p, x):
     """Sign of p(x) by Horner's rule over Fractions: the reference for sign_at."""
     acc = Fraction(0)
