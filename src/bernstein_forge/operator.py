@@ -19,12 +19,10 @@ from .errors import (
     DerivedBasisUnavailable,
     F0NotPositive,
     IdentityViolation,
-    InconsistentSystem,
     NotInSpace,
     RatioNotMonotone,
     ToleranceTooLoose,
 )
-from .linsolve import solve_linear
 from .polynomial import Polynomial
 from .rational import as_rational, format_rational
 from .spaces import (
@@ -391,10 +389,7 @@ def evaluate_operator(spec: OperatorSpec, samples, x):
     x = as_rational(x)
     exact = not any(isinstance(w, tuple) for w in spec.weights)
     if exact:
-        total = Fraction(0)
-        for s, w, p in zip(samples, spec.weights, spec.basis.elements):
-            total += as_rational(s) * w * p(x)
-        return total
+        return operator_combination(spec, samples)(x)
     lo_t = hi_t = Fraction(0)
     for s, w, p in zip(samples, spec.weights, spec.basis.elements):
         sv = as_rational(s)
@@ -457,21 +452,10 @@ def structural_diagnostics(problem: OperatorProblem) -> StructuralDiagnostics:
     ok = []
     for k, p in enumerate(basis.elements):
         target = p.derivative() * f0 - p * f0d
-        cols = []
-        if k >= 1:
-            cols.append(q[k - 1])
-        if k <= n - 1:
-            cols.append(q[k])
-        height = max(
-            [len(target.coeffs)] + [len(col.coeffs) for col in cols] + [1]
-        )
-        matrix = [[col.coeff(i) for col in cols] for i in range(height)]
-        rhs = [target.coeff(i) for i in range(height)]
         try:
-            sol = solve_linear(matrix, rhs)
-        except InconsistentSystem as exc:
+            vals = list(coordinates(target, q[max(k - 1, 0):k + 1]))
+        except NotInSpace as exc:
             raise IdentityViolation(f"derivative expansion failed at k={k}") from exc
-        vals = list(sol.particular)
         if k >= 1:
             c[k] = vals.pop(0)
         if k <= n - 1:

@@ -8,14 +8,21 @@ is 1) and a fixed-precision decimal renderer for CSV output.
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
+
+_RATIONAL_TEXT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
 def as_rational(value) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
+    """Coerce an int, Fraction, or "p" / "p/q" string to an exact Fraction.
 
     Floats are rejected on purpose: decimal inputs would smuggle rounding
-    into hypotheses that must be decided exactly.
+    into hypotheses that must be decided exactly.  For the same reason,
+    and because an exponent such as "1e100000000" would expand into a
+    number too large to hold, text is only an optionally signed integer,
+    optionally over a positive integer, with surrounding whitespace.
     """
     if isinstance(value, Fraction):
         return value  # immutable: no copy needed
@@ -24,15 +31,25 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        match = _RATIONAL_TEXT.fullmatch(value)
+        if match is None:
+            raise ValueError(f"not an exact rational \"p\" or \"p/q\": {value!r}")
+        num, den = match.groups()
+        if den is not None and int(den) == 0:
+            raise ValueError(f"zero denominator in {value!r}")
+        return Fraction(int(num), int(den or 1))
     raise TypeError(f"not an exact rational: {value!r}")
 
 
 def format_rational(q: Fraction) -> str:
     q = as_rational(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past str()'s limit on digits; Decimal renders any integer
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 def sign(q) -> int:
@@ -53,5 +70,8 @@ def format_decimal(q: Fraction, digits: int) -> str:
     if 2 * rem >= q.denominator:
         scaled += 1
     whole, frac = divmod(scaled, scale)
-    body = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
+    try:
+        body = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
+    except ValueError:  # past str()'s limit on digits; Decimal renders any integer
+        body = f"{Decimal(whole)}.{Decimal(frac):0{digits}}" if digits else str(Decimal(whole))
     return f"-{body}" if neg and scaled else body

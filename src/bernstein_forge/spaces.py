@@ -18,7 +18,6 @@ from .errors import (
     BadInterval,
     ConstantNotInSpace,
     F0NotPositive,
-    IdentityViolation,
     InconsistentSystem,
     NonPositiveScalar,
     NotInSpace,
@@ -242,23 +241,14 @@ def bernstein_basis(space: MonomialSpace) -> Union[BernsteinBasis, NoBasisReport
     return basis_from_generators(space.monomials(), space.a, space.b)
 
 
-def _element_matrix(elements):
-    height = max(len(p.coeffs) for p in elements)
-    height = max(height, 1)
-    return [[p.coeff(i) for p in elements] for i in range(height)], height
-
-
 def normalize_partition_of_unity(basis: BernsteinBasis) -> BernsteinBasis:
     """Rescale a non-negative basis so the elements sum exactly to 1."""
     if basis.positivity == GRADE_SIGNED:
         raise NonPositiveScalar("cannot normalize a signed basis")
-    matrix, height = _element_matrix(basis.elements)
-    rhs = [Fraction(1)] + [Fraction(0)] * (height - 1)
     try:
-        sol = solve_linear(matrix, rhs)
-    except InconsistentSystem as exc:
+        scalars = coordinates(Polynomial.one(), basis.elements)
+    except NotInSpace as exc:
         raise ConstantNotInSpace("constant 1 is not in the span") from exc
-    scalars = sol.particular
     if any(c <= 0 for c in scalars):
         raise NonPositiveScalar(f"non-positive partition scalar in {scalars}")
     return BernsteinBasis(
@@ -293,7 +283,8 @@ def normalize_when_possible(
 def coordinates(f: Polynomial, basis: Union[BernsteinBasis, tuple, list]) -> tuple:
     """Exact coordinate vector of f in the given basis elements."""
     elements = basis.elements if isinstance(basis, BernsteinBasis) else tuple(basis)
-    matrix, height = _element_matrix(elements)
+    height = max([len(p.coeffs) for p in elements] + [1])
+    matrix = [[p.coeff(i) for p in elements] for i in range(height)]
     if len(f.coeffs) > height:
         raise NotInSpace(f"{f.to_sparse()} has degree beyond the span")
     rhs = [f.coeff(i) for i in range(height)]
@@ -335,8 +326,16 @@ def certify_positive_on_closed(p: Polynomial, a, b) -> bool:
 def derived_space(space: MonomialSpace, f0: Polynomial) -> Union[DerivedSpaceRep, NoBasisReport]:
     """Numerator-space representation of {d/dx (f / f0) : f in the space}.
 
-    The images g' f0 - g f0' of the monomial generators span a space of
-    dimension n (the kernel is span{f0}); its Bernstein basis is built with
+    The map f -> f' f0 - f f0' is linear on the space with kernel span{f0}
+    (f/f0 is constant exactly there), so the images of the n + 1 monomial
+    generators obey one relation, whose coefficients are the coordinates of
+    f0.  Its coefficient at x^deg(f0) is the leading coefficient of f0, not
+    zero, so dropping that one image leaves n independent generators of the
+    derived space; it is also the one image that an ascending search for an
+    independent subset rejects.  Were the generators ever dependent, the
+    dependency would satisfy every vanishing condition, so each element
+    would have a null space of dimension above one or be the zero
+    polynomial: a refusal, never a wrong basis.  The basis is built with
     target zero orders (k, n-1-k) and normalized to a partition of unity
     whenever the constant lies in the span and the basis is non-negative.
     """
@@ -346,24 +345,8 @@ def derived_space(space: MonomialSpace, f0: Polynomial) -> Union[DerivedSpaceRep
         raise F0NotPositive("f0 must be strictly positive on [a, b]")
 
     f0d = f0.derivative()
-    images = [g.derivative() * f0 - g * f0d for g in space.monomials()]
-    independent = []
-    for img in images:
-        if img.is_zero:
-            continue
-        if not independent:
-            independent.append(img)
-            continue
-        try:
-            coordinates(img, independent)
-        except NotInSpace:
-            independent.append(img)
-    if len(independent) != space.order:
-        raise IdentityViolation(
-            f"derived space has dimension {len(independent)}, expected {space.order}"
-        )
-
-    result = normalize_when_possible(basis_from_generators(independent, space.a, space.b))
+    images = [g.derivative() * f0 - g * f0d for g in space.monomials() if g.degree != f0.degree]
+    result = normalize_when_possible(basis_from_generators(images, space.a, space.b))
     if isinstance(result, NoBasisReport):
         return result
     return DerivedSpaceRep(base_space=space, f0=f0, basis=result)

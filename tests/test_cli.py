@@ -173,6 +173,37 @@ class TestWrongTypes:
         assert cli.main(["exists", json.dumps(problem)]) == 0
 
 
+class TestRationalText:
+    """Rational text other than "p" or "p/q" with q > 0 is refused with exit 1."""
+
+    TEXTS = ["1/0", "1e5000", "1.5"]
+
+    @staticmethod
+    def problem(a="-1", b="1", f1="3:1"):
+        return json.dumps({"space": {"exponents": [0, 1, 2, 3], "a": a, "b": b},
+                           "f0": "0:1", "f1": f1})
+
+    @pytest.mark.parametrize("text", TEXTS)
+    @pytest.mark.parametrize("argv", [
+        lambda t: ["exists", TestRationalText.problem(a=t)],
+        lambda t: ["exists", TestRationalText.problem(b=t)],
+        lambda t: ["exists", TestRationalText.problem(f1=f"1:1,3:{t}")],
+        lambda t: ["operator", TestRationalText.problem(), "--tol", t],
+    ], ids=["a", "b", "coefficient", "tol"])
+    def test_refused(self, capsys, argv, text):
+        assert cli.main(argv(text)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(text) in err
+
+    def test_result_beyond_4300_digits(self, tmp_path, capsys):
+        a = "1/1" + "0" * 2200
+        out = tmp_path / "basis.json"
+        space = json.dumps({"exponents": [0, 1, 2], "a": a, "b": "1"})
+        assert cli.main(["basis", space, "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["space"]["a"] == a
+        assert capsys.readouterr().out.startswith(f"interval  [{a}, 1]")
+
+
 class TestMissingKeys:
     """A descriptor without a required key is refused by the key's name."""
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernstein_forge import (
     ArityMismatch,
@@ -318,6 +320,14 @@ class TestStructuralDiagnostics:
             assert all(diag.d[k] < 0 for k in range(n))
             assert all(diag.eqprec_ok)
 
+    def test_one_generator_space(self):
+        # span{x^2} over f0 = x^2: the derived space is {0} and w is empty.
+        x2 = Polynomial.monomial(2)
+        diag = structural_diagnostics(problem([2], 1, 2, x2, x2.scale(3)))
+        assert diag.w == ()
+        assert diag.derived.basis.elements == ()
+        assert diag.eqprec_ok == (True,)
+
     def test_recurrence_all_pivots(self):
         diag = structural_diagnostics(problem([0, 1, 2, 3, 6], -1, 1, ONE, X3))
         for k0 in range(len(diag.beta)):
@@ -348,3 +358,88 @@ class TestEquivalenceSpotCheck:
             assert (report.monotonicity in (MONO_STRICT, MONO_NON_DECREASING)) == (
                 report.w_summary != W_HAS_NEGATIVE
             )
+
+
+def antiderivative(p: Polynomial) -> Polynomial:
+    return Polynomial([0] + [c / (i + 1) for i, c in enumerate(p.coeffs)])
+
+
+def small_rationals(lo, hi):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 4))
+
+
+@st.composite
+def planted_zero_problems(draw):
+    """(problem, zero): full space of order 2..6 on a shifted interval,
+    f0 = 1 and f1 = integral of (x - c)^2 q + mu with q > 0 on [a, b].
+
+    zero says where (f1/f0)' = (x - c)^2 q vanishes on [a, b]: "interior",
+    "a", "b", or None when c is absent.  Order 2 leaves no room for the
+    factor (x - c)^2, so c is absent there.
+    """
+    n = draw(st.integers(2, 6))
+    a = draw(small_rationals(-12, 12))
+    b = a + draw(small_rationals(1, 12))
+    zero = draw(st.sampled_from(["interior", "a", "b", None])) if n >= 3 else None
+    if zero == "interior":
+        c = a + (b - a) * draw(st.integers(1, 7)) / 8
+    else:
+        c = {"a": a, "b": b}.get(zero)
+    derivative = Polynomial([draw(small_rationals(1, 8))])
+    room = n - 1 - (2 if zero else 0)
+    while room > 0 and draw(st.booleans()):
+        factor = draw(st.sampled_from(["above-a", "below-b", "square"]))
+        if factor == "square" and room >= 2:
+            m = draw(small_rationals(-16, 16))
+            term = Polynomial([m * m + draw(small_rationals(1, 8)), -2 * m, 1])
+            room -= 2
+        elif factor == "below-b":  # r - x with r > b
+            term = Polynomial([b + draw(small_rationals(0, 8)) + Fraction(1, 8), -1])
+            room -= 1
+        else:  # x - r with r < a
+            term = Polynomial([draw(small_rationals(0, 8)) + Fraction(1, 8) - a, 1])
+            room -= 1
+        derivative = derivative * term
+    if c is not None:
+        root = X - Polynomial([c])
+        derivative = derivative * root * root
+    f1 = antiderivative(derivative) + Polynomial([draw(small_rationals(-8, 8))])
+    return OperatorProblem(full_space(n, a, b), ONE, f1), zero
+
+
+class TestNecessaryCondition:
+    """The paper's necessary condition on the nodes, with f0 = 1.
+
+    Non-decreasing nodes need (f1/f0)' > 0 on (a, b); strictly increasing
+    nodes need it on [a, b].  So an operator that exists although
+    (f1/f0)' has a planted zero inside (a, b) has non-monotone nodes, and
+    one with a zero anywhere on [a, b] has nodes that are not strictly
+    increasing.  The converse fails: the corpus case
+    `counterexample-w-signs` has a strictly increasing ratio and
+    non-monotone nodes.
+    """
+
+    @given(planted_zero_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_zero_of_the_ratio_derivative_limits_the_nodes(self, case):
+        prob, zero = case
+        report = existence_report(prob)
+        assert report.ratio_certificate == (RATIO_CRITICAL if zero else RATIO_STRICT)
+        if report.verdict != VERDICT_EXISTS:
+            return
+        if zero == "interior":
+            assert report.monotonicity == MONO_NONE
+        if zero is not None:
+            assert report.monotonicity != MONO_STRICT
+
+    @pytest.mark.parametrize("a, b, f1, monotonicity", [
+        (-1, 1, X3, MONO_NONE),  # zero of 3x^2 at the interior point 0
+        (0, 2, Polynomial.from_sparse("1:1,2:-1,3:1/3"), MONO_NONE),  # (x - 1)^2
+        (0, 1, X3, MONO_NON_DECREASING),  # zero at the endpoint a = 0
+        (-1, 0, Polynomial.from_sparse("1:1,2:1,3:1/3"), MONO_NON_DECREASING),  # (x + 1)^2
+    ])
+    def test_planted_zero_examples(self, a, b, f1, monotonicity):
+        report = existence_report(OperatorProblem(full_space(3, a, b), ONE, f1))
+        assert report.verdict == VERDICT_EXISTS
+        assert report.ratio_certificate == RATIO_CRITICAL
+        assert report.monotonicity == monotonicity

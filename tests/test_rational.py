@@ -1,0 +1,39 @@
+from fractions import Fraction
+
+import pytest
+
+from bernstein_forge import as_rational, format_decimal, format_rational
+
+
+class TestRationalText:
+    @pytest.mark.parametrize("text, value", [
+        ("7", Fraction(7)),
+        (" -3/4 ", Fraction(-3, 4)),
+        ("+6/4", Fraction(3, 2)),
+        ("0/5", Fraction(0)),
+    ])
+    def test_accepted(self, text, value):
+        assert as_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1/0", "1e5000", "1.5", "", "1/-2", "3/ 4", "1_000", "nan", "1/2/3",
+    ])
+    def test_refused(self, text):
+        with pytest.raises(ValueError, match="rational|denominator"):
+            as_rational(text)
+
+
+class TestLongIntegers:
+    """Integers past the interpreter's 4300-digit str() limit still render."""
+
+    def test_format_rational(self):
+        big = 10 ** 5000 + 7
+        assert format_rational(Fraction(big)) == "1" + "0" * 4999 + "7"
+        assert format_rational(Fraction(-big, 3)) == "-1" + "0" * 4999 + "7/3"
+        assert format_rational(Fraction(3, big)) == "3/1" + "0" * 4999 + "7"
+
+    def test_format_decimal(self):
+        assert format_decimal(Fraction(10 ** 5000 + 1, 2), 2) == "5" + "0" * 4999 + ".50"
+        assert format_decimal(Fraction(-10 ** 5000), 0) == "-1" + "0" * 5000
+        assert format_decimal(Fraction(1, 3), 5000) == "0." + "3" * 5000
+        assert format_decimal(Fraction(-1, 10 ** 5000), 5000) == "-0." + "0" * 4999 + "1"

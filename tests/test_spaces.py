@@ -3,12 +3,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernstein_forge import (
     BadExponents,
     BadInterval,
     BernsteinBasis,
     ConstantNotInSpace,
+    DerivedSpaceRep,
     NoBasisReport,
     NotInSpace,
     Polynomial,
@@ -203,6 +207,11 @@ class TestCoordinates:
         with pytest.raises(NotInSpace):
             coordinates(Polynomial.monomial(2), basis)
 
+    def test_no_elements(self):
+        assert coordinates(Polynomial.zero(), []) == ()
+        with pytest.raises(NotInSpace):
+            coordinates(ONE, [])
+
     def test_roundtrip_random_members(self):
         random.seed(11)
         basis = normalize_partition_of_unity(
@@ -260,3 +269,99 @@ class TestDerivedSpace:
             assert q.derivative(k)(-1) != 0
             for j in range(n - 1 - k):
                 assert q.derivative(j)(1) == 0
+
+    def test_one_generator_space(self):
+        # span{x^2} divided by f0 = x^2 is constant: the derived space is {0}.
+        space = build_space([2], 1, 2)
+        rep = derived_space(space, Polynomial.monomial(2))
+        assert rep.basis.elements == ()
+        assert rep.basis.zero_orders == ()
+        assert not rep.basis.normalized
+
+
+def greedy_generators(space, f0):
+    """Reference: the independent images an ascending greedy search keeps."""
+    f0d = f0.derivative()
+    images = [g.derivative() * f0 - g * f0d for g in space.monomials()]
+    independent = []
+    for img in images:
+        if img.is_zero:
+            continue
+        if not independent:
+            independent.append(img)
+            continue
+        try:
+            coordinates(img, independent)
+        except NotInSpace:
+            independent.append(img)
+    return independent
+
+
+def small_rationals(lo, hi):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 4))
+
+
+@st.composite
+def spans_with_weights(draw):
+    """(space, f0): a full or gap span of dimension >= 2 on a negative,
+    straddling or positive interval, and an f0 in the span, positive on
+    [a, b]: 1, a monomial, c (x - a) + d, or a positive quadratic."""
+    if draw(st.booleans()):
+        exps = set(range(draw(st.integers(2, 6))))
+    else:
+        exps = set(draw(st.lists(st.integers(0, 8), min_size=2, max_size=5, unique=True)))
+    side = draw(st.sampled_from(["negative", "straddle", "positive"]))
+    width = draw(small_rationals(1, 12))
+    if side == "negative":
+        b = -draw(small_rationals(1, 8))
+        a = b - width
+    elif side == "positive":
+        a = draw(small_rationals(1, 8))
+        b = a + width
+    else:
+        a = -draw(small_rationals(1, 8))
+        b = draw(small_rationals(1, 8))
+    kind = draw(st.sampled_from(["one", "monomial", "linear", "quadratic"]))
+    if kind == "one":
+        exps.add(0)
+        f0 = ONE
+    elif kind == "monomial":
+        positive = [e for e in sorted(exps) if e == 0 or a > 0 or (e % 2 == 0 and b < 0)]
+        if not positive:
+            exps.add(0)
+            positive = [0]
+        f0 = Polynomial.monomial(draw(st.sampled_from(positive)))
+    elif kind == "linear":
+        exps |= {0, 1}
+        c = draw(small_rationals(-6, 6))
+        d = draw(small_rationals(1, 8)) + max(-c * (b - a), 0)
+        f0 = Polynomial([d - c * a, c])
+    else:
+        exps |= {0, 1, 2}
+        m = draw(small_rationals(-12, 12))
+        eps = draw(small_rationals(1, 8))
+        f0 = Polynomial([m * m + eps, -2 * m, 1])
+    return build_space(sorted(exps), a, b), f0
+
+
+class TestDerivedGenerators:
+    @given(spans_with_weights())
+    @settings(max_examples=150, deadline=None)
+    def test_theorem_drops_exactly_the_greedy_reject(self, case):
+        space, f0 = case
+        f0d = f0.derivative()
+        kept = [g.derivative() * f0 - g * f0d
+                for g in space.monomials() if g.degree != f0.degree]
+        independent = greedy_generators(space, f0)
+        assert kept == independent
+        rank = sympy.Matrix([
+            [sympy.Rational(c.numerator, c.denominator) for c in
+             (img.coeff(i) for i in range(2 * max(space.exponents) + 1))]
+            for img in kept
+        ]).rank()
+        assert rank == len(kept) == space.order
+
+        reference = normalize_when_possible(basis_from_generators(independent, space.a, space.b))
+        if not isinstance(reference, NoBasisReport):
+            reference = DerivedSpaceRep(base_space=space, f0=f0, basis=reference)
+        assert derived_space(space, f0).to_json() == reference.to_json()
