@@ -58,7 +58,6 @@ from .sturm import (
     classify_on_interval,
     isolate_roots,
     rational_root_in,
-    rational_roots,
     sturm_chain,
     sturm_count,
 )

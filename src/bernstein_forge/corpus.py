@@ -45,34 +45,19 @@ def _report(space, f1=X3):
     return existence_report(OperatorProblem(space, ONE, f1))
 
 
-def _existence_fields(report) -> dict:
-    out = {"verdict": report.verdict}
-    if report.gamma is not None:
-        out["gamma"] = [format_rational(g) for g in report.gamma]
-    if report.monotonicity is not None:
-        out["monotonicity"] = report.monotonicity
-    if report.w is not None:
-        out["w"] = [format_rational(w) for w in report.w]
-        out["w_summary"] = report.w_summary
-        out["cross_check"] = report.cross_check
-    out["ratio_certificate"] = report.ratio_certificate
+def _emitted(report, spec=None) -> dict:
+    """The report's basis JSON, report JSON and operator JSON, merged."""
+    out = {} if report.basis is None else report.basis.to_json()
+    out.update(report.to_json())
+    if spec is not None:
+        out.update(spec.to_json())
     return out
-
-
-def _basis_fields(basis) -> dict:
-    return {
-        "grade": basis.grade,
-        "positivity": basis.positivity,
-        "elements": [p.to_sparse() for p in basis.elements],
-    }
 
 
 def _case_e1() -> dict:
     report = _report(build_space([0, 3], -1, 1))
-    out = {**_basis_fields(report.basis), **_existence_fields(report)}
     spec = build_operator(report)
-    out["nodes"] = [e.to_json() for e in spec.nodes]
-    out["weights"] = [format_rational(w) for w in spec.weights]
+    out = _emitted(report, spec)
     # B1 f1 = f1(a) p_{1,0} + f1(b) p_{1,1} must reproduce x^3 exactly.
     samples = [X3(e.lo) for e in spec.nodes]
     out["fixed_f1"] = operator_combination(spec, samples).to_sparse()
@@ -81,22 +66,17 @@ def _case_e1() -> dict:
 
 def _case_e2_sym() -> dict:
     basis = bernstein_basis(build_space([0, 1, 3], -1, 1))
-    return {**_basis_fields(basis), "middle_verdict": basis.classifications[1].verdict}
+    return {**basis.to_json(), "middle_verdict": basis.classifications[1].verdict}
 
 
 def _case_e2_shifted() -> dict:
-    result = bernstein_basis(build_space([0, 1, 3], -1, 2))
-    if not isinstance(result, NoBasisReport):
-        return {"kind": "basis-found"}
-    return {"kind": result.kind, "index": result.index, "endpoint": result.endpoint}
+    return bernstein_basis(build_space([0, 1, 3], -1, 2)).to_json()
 
 
 def _case_p3_sym() -> dict:
     report = _report(build_space([0, 1, 2, 3], -1, 1))
-    out = _existence_fields(report)
     spec = build_operator(report)
-    out["nodes"] = [e.to_json() for e in spec.nodes]
-    out["weights"] = [format_rational(w) for w in spec.weights]
+    out = _emitted(report, spec)
     # Projection onto span{1, x^3}: even powers map to 1, odd to x^3.
     even = [e.lo ** 2 for e in spec.nodes]
     odd = [e.lo ** 5 for e in spec.nodes]
@@ -106,40 +86,41 @@ def _case_p3_sym() -> dict:
 
 
 def _case_p3_shifted() -> dict:
-    return _existence_fields(_report(build_space([0, 1, 2, 3], -1, 2)))
+    return _emitted(_report(build_space([0, 1, 2, 3], -1, 2)))
 
 
 def _case_p4_shifted() -> dict:
-    return _existence_fields(_report(build_space([0, 1, 2, 3, 4], -1, 2)))
+    return _emitted(_report(build_space([0, 1, 2, 3, 4], -1, 2)))
 
 
 def _case_ex1() -> dict:
     report = _report(build_space([0, 1, 2, 3, 6], -1, 1))
-    out = {**_basis_fields(report.basis), **_existence_fields(report)}
-    out["node_order"] = build_operator(report).node_order()
-    return out
+    return _emitted(report, build_operator(report))
 
 
 def _case_ex2() -> dict:
     report = _report(build_space([0, 1, 2, 3, 6], -1, 2))
-    out = {**_basis_fields(report.basis), **_existence_fields(report)}
-    out["gamma_2"] = format_rational(report.gamma[2])
-    return out
+    return {**_emitted(report), "gamma_2": format_rational(report.gamma[2])}
 
 
 def _case_counterexample_w() -> dict:
     f1 = Polynomial.from_sparse("1:3/8,2:-1/2,3:1/3")
-    return _existence_fields(_report(build_space([0, 1, 2, 3], 0, 1), f1))
+    return _emitted(_report(build_space([0, 1, 2, 3], 0, 1), f1))
+
+
+def _case_endpoint_zero() -> dict:
+    report = _report(build_space([0, 1, 2, 3], 0, 1))
+    return _emitted(report, build_operator(report))
 
 
 def _case_derived_e4() -> dict:
     space = build_space([0, 1, 2, 3, 6], -1, 1)
     rep = derived_space(space, ONE)
     if isinstance(rep, NoBasisReport):
-        return {"kind": rep.kind}
+        return rep.to_json()
     basis = rep.basis
     out = {
-        "positivity": basis.positivity,
+        **basis.to_json(),
         "support": sorted({e for p in basis.elements for e in p.support()}),
         "verdicts": [c.verdict for c in basis.classifications],
     }
@@ -281,6 +262,24 @@ CASES = [
             ],
         },
         _case_derived_e4,
+    ),
+    CorpusCase(
+        # Classical cubic on [0, 1]: x^3 = B_{3,3} and (x^3)' = 3x^2 = 3 B_{2,2},
+        # so (f1/f0)' vanishes only at the endpoint a and the nodes
+        # 0, 0, 0, 1 are non-decreasing but not strictly increasing.
+        "endpoint-zero-non-decreasing",
+        {
+            "verdict": "exists",
+            "gamma": ["0", "0", "0", "1"],
+            "monotonicity": "non-decreasing",
+            "ratio_certificate": "increasing-with-critical-points",
+            "w": ["0", "0", "3"],
+            "w_summary": "all-nonneg-some-zero",
+            "cross_check": True,
+            "node_order": "t0 = t1 = t2 < t3",
+            "weights": ["1", "1", "1", "1"],
+        },
+        _case_endpoint_zero,
     ),
 ]
 

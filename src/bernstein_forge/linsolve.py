@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .errors import IdentityViolation, InconsistentSystem
-from .rational import as_rational
+from .rational import as_rational, integer_form
 
 
 @dataclass(frozen=True)
@@ -45,12 +44,7 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Optional[Sequence] = None) -> 
     width = n_cols + (1 if rhs is not None else 0)
 
     # Row-wise clear denominators: integer matrix, same solution set.
-    im = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        im.append([int(x * den) for x in row])
+    im = [integer_form(row)[1] for row in rows]
 
     pivot_cols = []
     r = 0

@@ -54,10 +54,12 @@ RATIO_NOT_MONOTONE = "not-monotone"
 MONO_STRICT = "strictly-increasing"
 MONO_NON_DECREASING = "non-decreasing"
 MONO_NONE = "non-monotone"
+MONO_TOKENS = (MONO_STRICT, MONO_NON_DECREASING, MONO_NONE)
 
 W_ALL_POSITIVE = "all-positive"
 W_NONNEG_SOME_ZERO = "all-nonneg-some-zero"
 W_HAS_NEGATIVE = "has-negative"
+W_TOKENS = (W_ALL_POSITIVE, W_NONNEG_SOME_ZERO, W_HAS_NEGATIVE)
 
 VERDICT_EXISTS = "exists"
 VERDICT_NO_BASIS = "no-nonneg-basis"
@@ -147,29 +149,20 @@ def w_coefficients(problem: OperatorProblem, rep: Optional[DerivedSpaceRep] = No
     if rep.basis.positivity == GRADE_SIGNED:
         raise DerivedBasisUnavailable("derived Bernstein basis is not non-negative")
     w = coordinates(ratio_numerator(problem), rep.basis)
-    if all(x > 0 for x in w):
-        summary = W_ALL_POSITIVE
-    elif all(x >= 0 for x in w):
-        summary = W_NONNEG_SOME_ZERO
-    else:
-        summary = W_HAS_NEGATIVE
-    return tuple(w), summary
+    return tuple(w), _signs(w, W_TOKENS)
 
 
-def _monotonicity_from_ratios(ratios) -> str:
-    steps = [b - a for a, b in zip(ratios, ratios[1:])]
-    if all(s > 0 for s in steps):
-        return MONO_STRICT
-    if all(s >= 0 for s in steps):
-        return MONO_NON_DECREASING
-    return MONO_NONE
+def _signs(values, tokens) -> str:
+    """tokens[0] if every value is positive, tokens[1] if every one is
+    non-negative, else tokens[2]."""
+    if all(v > 0 for v in values):
+        return tokens[0]
+    if all(v >= 0 for v in values):
+        return tokens[1]
+    return tokens[2]
 
 
-_W_TO_MONO = {
-    W_ALL_POSITIVE: MONO_STRICT,
-    W_NONNEG_SOME_ZERO: MONO_NON_DECREASING,
-    W_HAS_NEGATIVE: MONO_NONE,
-}
+_W_TO_MONO = dict(zip(W_TOKENS, MONO_TOKENS))
 
 
 @dataclass(frozen=True)
@@ -233,7 +226,7 @@ def existence_report(problem: OperatorProblem) -> ExistenceReport:
     r_lo = problem.f1(a) / problem.f0(a)
     r_hi = problem.f1(b) / problem.f0(b)
     flags = tuple(r_lo <= r <= r_hi for r in ratios)
-    monotonicity = _monotonicity_from_ratios(ratios)
+    monotonicity = _signs([s - r for r, s in zip(ratios, ratios[1:])], MONO_TOKENS)
 
     w = w_summary = cross = None
     try:
@@ -333,23 +326,15 @@ def build_operator(report: ExistenceReport, tol=DEFAULT_TOL) -> OperatorSpec:
                     f"enclosures for t{i} and t{j} overlap at tol {format_rational(tol)}"
                 )
 
+    # The bound of f0 over an exact node is its exact, positive value.
     weights = []
     for k, enc in enumerate(nodes):
-        if enc.is_exact:
-            weights.append(report.beta[k] / f0(enc.lo))
-            continue
-        lo, hi = enc.lo, enc.hi
-        f_lo, f_hi = _interval_eval(f0, lo, hi)
+        f_lo, f_hi = _interval_eval(f0, enc.lo, enc.hi)
         while f_lo <= 0:  # f0 > 0 on [a,b]; refine until the bound shows it
-            enc = bisect_root(f1 - f0.scale(report.ratios[k]), lo, hi, (hi - lo) / 4)
-            lo, hi = enc.lo, enc.hi
-            if enc.is_exact:
-                break
-            f_lo, f_hi = _interval_eval(f0, lo, hi)
+            enc = bisect_root(f1 - f0.scale(report.ratios[k]), enc.lo, enc.hi, enc.width / 4)
+            f_lo, f_hi = _interval_eval(f0, enc.lo, enc.hi)
         nodes[k] = enc
-        if enc.is_exact:
-            weights.append(report.beta[k] / f0(enc.lo))
-        elif f_lo == f_hi:  # f0 constant over the enclosure (e.g. f0 = 1)
+        if f_lo == f_hi:  # exact node, or f0 constant over the enclosure (e.g. f0 = 1)
             weights.append(report.beta[k] / f_lo)
         else:
             weights.append((report.beta[k] / f_hi, report.beta[k] / f_lo))

@@ -12,11 +12,11 @@ homogeneous Horner sum over Python ints divided by D v^d at the end.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
 from .errors import NonExactDivision
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_rational, integer_form
 
 _NEG_INF = float("-inf")
 
@@ -139,11 +139,7 @@ class Polynomial:
         outlive their polynomial on the interpreter's tuple free lists.
         """
         if self._nums is None:
-            den = 1
-            for c in self._coeffs:
-                den = lcm(den, c.denominator)
-            self._den = den
-            self._nums = [c.numerator * (den // c.denominator) for c in self._coeffs]
+            self._den, self._nums = integer_form(self._coeffs)
         return self._den, self._nums
 
     # -- arithmetic --------------------------------------------------------

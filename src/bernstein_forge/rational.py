@@ -9,8 +9,10 @@ is 1) and a fixed-precision decimal renderer for CSV output.
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 _RATIONAL_TEXT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
@@ -35,10 +37,27 @@ def as_rational(value) -> Fraction:
         if match is None:
             raise ValueError(f"not an exact rational \"p\" or \"p/q\": {value!r}")
         num, den = match.groups()
-        if den is not None and int(den) == 0:
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # more digits than the interpreter converts from text
+            digits = max(len(num.lstrip("+-")), len(den or ""))
+            raise ValueError(
+                f"integer of {digits} digits in rational text starting "
+                f"{value.strip()[:20]!r}; at most {sys.get_int_max_str_digits()} are read"
+            ) from None
+        if den == 0:
             raise ValueError(f"zero denominator in {value!r}")
-        return Fraction(int(num), int(den or 1))
+        return Fraction(num, den)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def integer_form(values) -> tuple:
+    """(D, numerators): the least D > 0 making every D * v an integer, and
+    the list of those integers."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.denominator)
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def format_rational(q: Fraction) -> str:

@@ -9,7 +9,7 @@ exponent sets where factoring (x-a)^k would leave the span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -135,21 +135,38 @@ class NoBasisReport:
 @dataclass(frozen=True)
 class BernsteinBasis:
     elements: tuple  # n + 1 Polynomials
-    zero_orders: tuple  # per element (order at a, order at b)
     classifications: tuple  # per element SignClassification on (a, b)
-    positivity: str  # signed | non-negative | positive
     normalized: bool
-    scaling: str
     a: Fraction
     b: Fraction
 
     @property
-    def grade(self) -> str:
-        return GRADE_NORMALIZED if self.normalized else self.positivity
-
-    @property
     def order(self) -> int:
         return len(self.elements) - 1
+
+    @property
+    def zero_orders(self) -> tuple:
+        """Per element (order at a, order at b): (k, n - k) by construction."""
+        n = self.order
+        return tuple((k, n - k) for k in range(n + 1))
+
+    @property
+    def positivity(self) -> str:
+        """signed | non-negative | positive, from the elements' verdicts."""
+        verdicts = {c.verdict for c in self.classifications}
+        if verdicts <= {STRICTLY_POSITIVE}:
+            return GRADE_POSITIVE
+        if verdicts <= {STRICTLY_POSITIVE, NONNEG_INTERIOR_ZEROS}:
+            return GRADE_NON_NEGATIVE
+        return GRADE_SIGNED
+
+    @property
+    def scaling(self) -> str:
+        return "partition-of-unity" if self.normalized else "primitive"
+
+    @property
+    def grade(self) -> str:
+        return GRADE_NORMALIZED if self.normalized else self.positivity
 
     def to_json(self):
         return {
@@ -164,22 +181,15 @@ class BernsteinBasis:
         }
 
 
-def _grade_from(classifications) -> str:
-    verdicts = {c.verdict for c in classifications}
-    if verdicts <= {STRICTLY_POSITIVE}:
-        return GRADE_POSITIVE
-    if verdicts <= {STRICTLY_POSITIVE, NONNEG_INTERIOR_ZEROS}:
-        return GRADE_NON_NEGATIVE
-    return GRADE_SIGNED
-
-
 def basis_from_generators(generators, a, b) -> Union[BernsteinBasis, NoBasisReport]:
     """Bernstein basis of span(generators) on [a, b], or a refusal report.
 
     Element k is the solution of p^(j)(a) = 0 for j < k and p^(j)(b) = 0
     for j < n-k, required to be one-dimensional with the zero orders exact.
     Scaling is canonical: integer primitive coefficients, oriented so the
-    element is positive immediately to the left of b.
+    element is positive immediately to the left of b.  Raises ValueError
+    when a candidate is the zero polynomial: the generators are then
+    linearly dependent.
     """
     a, b = as_rational(a), as_rational(b)
     n = len(generators) - 1
@@ -191,50 +201,38 @@ def basis_from_generators(generators, a, b) -> Union[BernsteinBasis, NoBasisRepo
     at_a = [[column[j](a) for column in ders] for j in range(n + 1)]
     at_b = [[column[j](b) for column in ders] for j in range(n + 1)]
 
+    # From k = n down, so the first failure met is the highest failing
+    # index: the refusal pinpoints the most constrained element.
     elements = []
-    failures = []
-    for k in range(n + 1):
+    for k in range(n, -1, -1):
         rows = at_a[:k] + at_b[:n - k]
         if rows:
             null = solve_linear(rows).nullspace
         else:  # n == 0: no conditions, the space itself
             null = ((Fraction(1),),)
         if len(null) != 1:
-            failures.append(NoBasisReport(k, DEGENERATE_SOLUTION_SPACE, nullity=len(null)))
-            continue
+            return NoBasisReport(k, DEGENERATE_SOLUTION_SPACE, nullity=len(null))
         coords = null[0]
         p = Polynomial.zero()
         for c, g in zip(coords, generators):
             p = p + g.scale(c)
+        if p.is_zero:  # the null vector is a dependency among the generators
+            raise ValueError("generators are linearly dependent")
         # p^(k)(a) and p^(n-k)(b), read from the tables.
         m = n - k
         da = sum(c * v for c, v in zip(coords, at_a[k]))
         db = sum(c * v for c, v in zip(coords, at_b[m]))
         if da == 0 or db == 0:
-            failures.append(NoBasisReport(
+            return NoBasisReport(
                 k, FORCED_EXTRA_ZERO, endpoint="a" if da == 0 else "b", witness=p.primitive()
-            ))
-            continue
+            )
         # Orient positive just inside b: sign there is p^(n-k)(b) * (-1)^(n-k).
         if sign(db) * (-1) ** m < 0:
             p = -p
         elements.append(p.primitive())
-    if failures:
-        # Every index is checked; report the highest failing one so the
-        # refusal pinpoints the most constrained element.
-        return failures[-1]
-
+    elements.reverse()
     classifications = tuple(classify_on_interval(p, a, b) for p in elements)
-    return BernsteinBasis(
-        elements=tuple(elements),
-        zero_orders=tuple((k, n - k) for k in range(n + 1)),
-        classifications=classifications,
-        positivity=_grade_from(classifications),
-        normalized=False,
-        scaling="primitive",
-        a=a,
-        b=b,
-    )
+    return BernsteinBasis(tuple(elements), classifications, normalized=False, a=a, b=b)
 
 
 def bernstein_basis(space: MonomialSpace) -> Union[BernsteinBasis, NoBasisReport]:
@@ -251,16 +249,9 @@ def normalize_partition_of_unity(basis: BernsteinBasis) -> BernsteinBasis:
         raise ConstantNotInSpace("constant 1 is not in the span") from exc
     if any(c <= 0 for c in scalars):
         raise NonPositiveScalar(f"non-positive partition scalar in {scalars}")
-    return BernsteinBasis(
-        elements=tuple(p.scale(c) for p, c in zip(basis.elements, scalars)),
-        zero_orders=basis.zero_orders,
-        classifications=basis.classifications,  # verdicts invariant under c > 0
-        positivity=basis.positivity,
-        normalized=True,
-        scaling="partition-of-unity",
-        a=basis.a,
-        b=basis.b,
-    )
+    # Verdicts are invariant under scaling by c > 0.
+    return replace(basis, elements=tuple(p.scale(c) for p, c in zip(basis.elements, scalars)),
+                   normalized=True)
 
 
 def normalize_when_possible(
@@ -334,10 +325,11 @@ def derived_space(space: MonomialSpace, f0: Polynomial) -> Union[DerivedSpaceRep
     derived space; it is also the one image that an ascending search for an
     independent subset rejects.  Were the generators ever dependent, the
     dependency would satisfy every vanishing condition, so each element
-    would have a null space of dimension above one or be the zero
-    polynomial: a refusal, never a wrong basis.  The basis is built with
-    target zero orders (k, n-1-k) and normalized to a partition of unity
-    whenever the constant lies in the span and the basis is non-negative.
+    would have a null space of dimension above one (a refusal) or be the
+    zero polynomial (a ValueError): never a wrong basis.  The basis is
+    built with target zero orders (k, n-1-k) and normalized to a partition
+    of unity whenever the constant lies in the span and the basis is
+    non-negative.
     """
     if not space.contains(f0):
         raise NotInSpace("f0 must lie in the space")

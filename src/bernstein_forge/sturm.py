@@ -161,12 +161,9 @@ def isolate_roots(p: Polynomial, a, b) -> list:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     if p.degree <= 0:
         return []
-    return _isolate(sturm_chain(p), as_rational(a), as_rational(b))
-
-
-def _isolate(chain: SturmChain, a: Fraction, b: Fraction) -> list:
-    """isolate_roots for the square-free chain.sequence[0], reusing its chain."""
-    sf = chain.sequence[0]
+    a, b = as_rational(a), as_rational(b)
+    chain = sturm_chain(p)
+    sf = chain.sequence[0]  # the square-free part of p
     out = []
     stack = [(a, b, chain.open_count(a, b))]
     while stack:
@@ -235,30 +232,6 @@ def classify_on_interval(p: Polynomial, a, b) -> SignClassification:
     else:
         verdict = SIGN_CHANGING
     return SignClassification(verdict, tuple(witnesses))
-
-
-def rational_roots(p: Polynomial) -> list:
-    """Exact rational roots of p, sorted, whatever the coefficient size.
-
-    The root 0 is split off as a power of x; the other real roots are
-    isolated inside the Cauchy bound and each enclosure is tested by
-    `rational_root_in`.
-    """
-    if p.is_zero:
-        raise ZeroPolynomial("roots of the zero polynomial")
-    coeffs = p.coeffs
-    shift = next(i for i, c in enumerate(coeffs) if c != 0)
-    roots = [Fraction(0)] if shift else []
-    q = Polynomial(coeffs[shift:])
-    if q.degree <= 0:
-        return roots
-    bound = 1 + max(abs(c) for c in q.coeffs[:-1]) / abs(q.leading)
-    chain = sturm_chain(q)
-    for enc in _isolate(chain, -bound, bound):
-        root = rational_root_in(chain.sequence[0], enc)
-        if root is not None:
-            roots.append(root)
-    return sorted(roots)
 
 
 def rational_root_in(p: Polynomial, enc: RootEnclosure) -> Optional[Fraction]:

@@ -195,6 +195,13 @@ class TestRationalText:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(text) in err
 
+    def test_integer_beyond_the_digit_limit_refused(self, capsys):
+        space = json.dumps({"exponents": [0, 1], "a": "0", "b": "1" + "0" * 4400})
+        assert cli.main(["basis", space]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "4401 digits" in err
+        assert "set_int_max_str_digits" not in err
+
     def test_result_beyond_4300_digits(self, tmp_path, capsys):
         a = "1/1" + "0" * 2200
         out = tmp_path / "basis.json"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from bernstein_forge import (
     structural_diagnostics,
     w_coefficients,
 )
+from bernstein_forge.corpus import CASES
 from bernstein_forge.operator import (
     DEFAULT_TOL,
     MONO_NON_DECREASING,
@@ -368,18 +370,35 @@ def small_rationals(lo, hi):
     return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 4))
 
 
+def positive_weights(draw, a, b):
+    """f0 = 1, c (x - a) + d or (x - m)^2 + e, positive on the closed [a, b]."""
+    kind = draw(st.sampled_from(["one", "linear", "quadratic"]))
+    if kind == "one":
+        return ONE
+    if kind == "linear":
+        c = draw(small_rationals(-6, 6))
+        d = draw(small_rationals(1, 8)) + max(-c * (b - a), 0)
+        return Polynomial([d - c * a, c])
+    m = a + (b - a) * draw(st.integers(0, 8)) / 8
+    return Polynomial([m * m + draw(small_rationals(1, 8)), -2 * m, 1])
+
+
 @st.composite
 def planted_zero_problems(draw):
-    """(problem, zero): full space of order 2..6 on a shifted interval,
-    f0 = 1 and f1 = integral of (x - c)^2 q + mu with q > 0 on [a, b].
+    """(problem, zero): f0 positive on [a, b] (see `positive_weights`) and
+    f1 = f0 phi, phi = integral of (x - c)^2 q + mu with q > 0 on [a, b],
+    so (f1/f0)' = phi' = (x - c)^2 q.  The space is the span of x^0..x^deg,
+    deg = n + deg f0 with n = 2..6 - deg f0, which holds f1, and in a gap
+    span one or two higher exponents besides.
 
-    zero says where (f1/f0)' = (x - c)^2 q vanishes on [a, b]: "interior",
-    "a", "b", or None when c is absent.  Order 2 leaves no room for the
-    factor (x - c)^2, so c is absent there.
+    zero says where (f1/f0)' vanishes on [a, b]: "interior", "a", "b", or
+    None when c is absent.  n = 2 leaves no room for the factor (x - c)^2,
+    so c is absent there.
     """
-    n = draw(st.integers(2, 6))
     a = draw(small_rationals(-12, 12))
     b = a + draw(small_rationals(1, 12))
+    f0 = positive_weights(draw, a, b)
+    n = draw(st.integers(2, 6 - f0.degree))
     zero = draw(st.sampled_from(["interior", "a", "b", None])) if n >= 3 else None
     if zero == "interior":
         c = a + (b - a) * draw(st.integers(1, 7)) / 8
@@ -403,12 +422,15 @@ def planted_zero_problems(draw):
     if c is not None:
         root = X - Polynomial([c])
         derivative = derivative * root * root
-    f1 = antiderivative(derivative) + Polynomial([draw(small_rationals(-8, 8))])
-    return OperatorProblem(full_space(n, a, b), ONE, f1), zero
+    f1 = f0 * (antiderivative(derivative) + Polynomial([draw(small_rationals(-8, 8))]))
+    top = n + f0.degree
+    exponents = list(range(top + 1))
+    exponents += sorted(draw(st.sets(st.integers(top + 2, top + 6), max_size=2)))
+    return OperatorProblem(build_space(exponents, a, b), f0, f1), zero
 
 
 class TestNecessaryCondition:
-    """The paper's necessary condition on the nodes, with f0 = 1.
+    """The paper's necessary condition on the nodes.
 
     Non-decreasing nodes need (f1/f0)' > 0 on (a, b); strictly increasing
     nodes need it on [a, b].  So an operator that exists although
@@ -443,3 +465,13 @@ class TestNecessaryCondition:
         assert report.verdict == VERDICT_EXISTS
         assert report.ratio_certificate == RATIO_CRITICAL
         assert report.monotonicity == monotonicity
+
+    def test_endpoint_zero_corpus_case_closed_forms(self):
+        # On [0, 1], x^m = sum over k of C(k, m) / C(n, m) B_{n,k}: gamma for
+        # x^3 in degree 3, and w for (x^3)' = 3 x^2 in degree 2.
+        case = next(c for c in CASES if c.name == "endpoint-zero-non-decreasing")
+        gamma = [Fraction(comb(k, 3), comb(3, 3)) for k in range(4)]
+        w = [3 * Fraction(comb(k, 2), comb(2, 2)) for k in range(3)]
+        assert case.expected["gamma"] == [str(g) for g in gamma]
+        assert case.expected["w"] == [str(x) for x in w]
+        assert case.run() == []

@@ -22,6 +22,14 @@ class TestRationalText:
         with pytest.raises(ValueError, match="rational|denominator"):
             as_rational(text)
 
+    @pytest.mark.parametrize("text, digits", [
+        ("1" + "0" * 4400, 4401), ("-3/" + "7" * 5000, 5000),
+    ], ids=["numerator", "denominator"])
+    def test_too_many_digits_named(self, text, digits):
+        with pytest.raises(ValueError, match=f"integer of {digits} digits") as info:
+            as_rational(text)
+        assert repr(text[:20]) in str(info.value)
+
 
 class TestLongIntegers:
     """Integers past the interpreter's 4300-digit str() limit still render."""

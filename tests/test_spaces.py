@@ -23,7 +23,10 @@ from bernstein_forge import (
     derived_space,
     normalize_partition_of_unity,
     normalize_when_possible,
+    solve_linear,
 )
+from bernstein_forge.rational import format_rational
+from bernstein_forge.sturm import classify_on_interval
 
 X = Polynomial.monomial(1)
 ONE = Polynomial.one()
@@ -135,6 +138,14 @@ class TestBernsteinBasis:
         ]
         other = basis_from_generators(mixed, -1, 2)
         assert direct.elements == other.elements
+
+    @pytest.mark.parametrize("generators", [
+        [X, X.scale(2), ONE],
+        [ONE, X, X.scale(3), Polynomial.monomial(2)],
+    ])
+    def test_dependent_generators_refused(self, generators):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            basis_from_generators(generators, 0, 1)
 
     def test_dimension_one_space(self):
         basis = bernstein_basis(build_space([0], 0, 1))
@@ -365,3 +376,87 @@ class TestDerivedGenerators:
         if not isinstance(reference, NoBasisReport):
             reference = DerivedSpaceRep(base_space=space, f0=f0, basis=reference)
         assert derived_space(space, f0).to_json() == reference.to_json()
+
+
+def every_index_reference(space):
+    """Reference: the refusal loop that solves every index k = 0..n and
+    keeps the highest failure; otherwise the oriented primitive elements."""
+    gens, a, b = space.monomials(), space.a, space.b
+    n = len(gens) - 1
+    at_a = [[g.derivative(j)(a) for g in gens] for j in range(n + 1)]
+    at_b = [[g.derivative(j)(b) for g in gens] for j in range(n + 1)]
+    elements, failures = [], []
+    for k in range(n + 1):
+        rows = at_a[:k] + at_b[:n - k]
+        null = solve_linear(rows).nullspace if rows else ((Fraction(1),),)
+        if len(null) != 1:
+            failures.append({"index": k, "kind": "degenerate-solution-space",
+                             "nullity": len(null)})
+            continue
+        p = Polynomial.zero()
+        for c, g in zip(null[0], gens):
+            p = p + g.scale(c)
+        da, db = p.derivative(k)(a), p.derivative(n - k)(b)
+        if da == 0 or db == 0:
+            failures.append({"index": k, "kind": "forced-extra-zero",
+                             "endpoint": "a" if da == 0 else "b",
+                             "witness": p.primitive().to_sparse()})
+            continue
+        elements.append(p.primitive() if db * (-1) ** (n - k) > 0 else (-p).primitive())
+    return failures[-1] if failures else elements
+
+
+def derived_fields_json(basis):
+    """Reference to_json: zero orders, positivity and scaling derived from
+    the element count, the elements' verdicts and `normalized`."""
+    verdicts = {c.verdict for c in basis.classifications}
+    if verdicts <= {"strictly-positive"}:
+        positivity = "positive"
+    elif verdicts <= {"strictly-positive", "non-negative-with-interior-zeros"}:
+        positivity = "non-negative"
+    else:
+        positivity = "signed"
+    n = len(basis.elements) - 1
+    return {
+        "a": format_rational(basis.a),
+        "b": format_rational(basis.b),
+        "grade": "normalized" if basis.normalized else positivity,
+        "positivity": positivity,
+        "scaling": "partition-of-unity" if basis.normalized else "primitive",
+        "elements": [p.to_sparse() for p in basis.elements],
+        "zero_orders": [[k, n - k] for k in range(n + 1)],
+        "classifications": [c.to_json() for c in basis.classifications],
+    }
+
+
+@st.composite
+def monomial_spans(draw):
+    """1 to 6 exponents from 0..12 on a negative, straddling or positive interval."""
+    exps = sorted(draw(st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True)))
+    side = draw(st.sampled_from(["negative", "straddle", "positive"]))
+    width = draw(small_rationals(1, 12))
+    if side == "negative":
+        b = -draw(small_rationals(0, 8))
+        a = b - width
+    elif side == "positive":
+        a = draw(small_rationals(0, 8))
+        b = a + width
+    else:
+        a, b = -draw(small_rationals(1, 8)), draw(small_rationals(1, 8))
+    return build_space(exps, a, b)
+
+
+class TestRefusalChoice:
+    @given(monomial_spans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_every_index_reference(self, space):
+        result = bernstein_basis(space)
+        reference = every_index_reference(space)
+        if isinstance(reference, dict):
+            assert result.to_json() == reference
+            return
+        assert result.elements == tuple(reference)
+        assert result.classifications == tuple(
+            classify_on_interval(p, space.a, space.b) for p in reference)
+        for basis in (result, normalize_when_possible(result)):
+            assert basis.to_json() == derived_fields_json(basis)

@@ -14,7 +14,6 @@ from bernstein_forge import (
     classify_on_interval,
     isolate_roots,
     rational_root_in,
-    rational_roots,
     sturm_chain,
     sturm_count,
 )
@@ -45,12 +44,6 @@ node_factors = st.one_of(
     ),
     st.just(Polynomial.from_sparse("0:-5,2:1")),
     st.just(Polynomial.from_sparse("0:-9,3:1")),
-)
-# ... and with irrational roots inside [-2, 2] as well.
-irrational_factors = st.one_of(
-    node_factors,
-    st.just(Polynomial.from_sparse("0:-2,2:1")),
-    st.just(Polynomial.from_sparse("0:-3,3:1")),
 )
 
 
@@ -271,25 +264,6 @@ class TestBisect:
         p = linear(Fraction(1, 2))
         enc = bisect_root(p, Fraction(1, 2), 1, Fraction(1, 10))
         assert enc.to_json() == {"lo": "1/2", "hi": "1/2"}
-
-
-class TestRationalRoots:
-    def test_finds_small_rationals(self):
-        p = linear(Fraction(2, 3)) * linear(-2) * linear(0)
-        assert rational_roots(p) == [-2, 0, Fraction(2, 3)]
-
-    def test_irrational_only(self):
-        assert rational_roots(Polynomial.from_sparse("0:-2,2:1")) == []
-
-    def test_large_coefficients_not_capped(self):
-        r = Fraction(123456791, 98765431)
-        assert rational_roots(linear(r) * Polynomial.from_sparse("0:1,2:1")) == [r]
-
-    @given(big_denominator_roots, irrational_factors)
-    @settings(max_examples=40, deadline=None)
-    def test_rational_root_among_irrational_ones(self, r, factor):
-        roots = rational_roots(linear(r) * linear(r) * factor * X)
-        assert roots == sorted({Fraction(0), r})
 
 
 class TestNodeRecovery:
