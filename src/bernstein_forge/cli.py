@@ -5,9 +5,10 @@ JSON, inline or by file path; all rationals travel as exact "p/q" text.
 Exit codes are a stable contract:
 
     0  success (basis found / operator exists / corpus clean)
-    1  malformed input (including fields of the wrong type), a failed
-       internal check, or for `operator` a negative `--samples`, a
-       non-positive `--tol` or one too loose to separate the nodes
+    1  a usage error, malformed input (including fields of the wrong
+       type), an unwritable `--json` path, a failed internal check, or for
+       `operator` a negative `--samples`, a non-positive `--tol` or one too
+       loose to separate the nodes
     2  no Bernstein basis (`basis`)
     3  operator does not exist (`exists`, `operator`)
     4  problem hypotheses failed certification
@@ -30,7 +31,7 @@ from .operator import (
     existence_report,
 )
 from .corpus import run_corpus
-from .rational import as_rational, format_decimal, format_rational
+from .rational import as_rational, format_decimal, format_rational, read_integer
 from .spaces import MonomialSpace, NoBasisReport, bernstein_basis, normalize_when_possible
 
 PRECISION_ENV = "BERNSTEIN_FORGE_PRECISION"
@@ -44,13 +45,17 @@ def _precision() -> int:
 
 
 def _load_descriptor(text: str) -> dict:
-    """Accept inline JSON or a path to a JSON file ('-' reads stdin)."""
+    """Accept inline JSON or a path to a JSON file ('-' reads stdin).
+
+    Integer literals are read by `read_integer`, which refuses one past the
+    interpreter's digit limit by its digit count.
+    """
     if text == "-":
-        return json.loads(sys.stdin.read())
+        return json.loads(sys.stdin.read(), parse_int=read_integer)
     if text.lstrip().startswith("{"):
-        return json.loads(text)
+        return json.loads(text, parse_int=read_integer)
     with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=read_integer)
 
 
 def _emit_json(payload: dict, path: str):
@@ -78,11 +83,8 @@ def _refuse(exc: Exception) -> int:
 
 
 def cmd_basis(args) -> int:
-    try:
-        space = MonomialSpace.from_json(_load_descriptor(args.space))
-        result = normalize_when_possible(bernstein_basis(space))
-    except _REFUSALS as exc:
-        return _refuse(exc)
+    space = MonomialSpace.from_json(_load_descriptor(args.space))
+    result = normalize_when_possible(bernstein_basis(space))
     if isinstance(result, NoBasisReport):
         print(f"no Bernstein basis: {result.kind} at k={result.index}"
               + (f" (endpoint {result.endpoint})" if result.endpoint else ""))
@@ -101,9 +103,7 @@ def cmd_basis(args) -> int:
 
 
 def _report_lines(report) -> list:
-    lines = [f"verdict        {report.verdict}"]
-    if report.ratio_certificate:
-        lines.append(f"ratio          {report.ratio_certificate}")
+    lines = [f"verdict        {report.verdict}", f"ratio          {report.ratio_certificate}"]
     if report.beta is not None:
         lines.append("k    beta      gamma     ratio     in-range")
         for k in range(len(report.beta)):
@@ -124,17 +124,8 @@ def _report_lines(report) -> list:
     return lines
 
 
-def _existence(args):
-    descriptor = _load_descriptor(args.problem)
-    problem = OperatorProblem.from_json(descriptor)
-    return problem, existence_report(problem)
-
-
 def cmd_exists(args) -> int:
-    try:
-        problem, report = _existence(args)
-    except _REFUSALS as exc:
-        return _refuse(exc)
+    report = existence_report(OperatorProblem.from_json(_load_descriptor(args.problem)))
     for line in _report_lines(report):
         print(line)
     if args.json:
@@ -143,17 +134,14 @@ def cmd_exists(args) -> int:
 
 
 def cmd_operator(args) -> int:
-    try:
-        if args.samples is not None and args.samples < 0:
-            raise ValueError(f"--samples must be non-negative, got {args.samples}")
-        problem, report = _existence(args)
-        tol = as_rational(args.tol) if args.tol else DEFAULT_TOL
-        if report.verdict != "exists":
-            print(f"operator does not exist: {report.verdict}", file=sys.stderr)
-            return 3
-        spec = build_operator(report, tol)
-    except _REFUSALS as exc:
-        return _refuse(exc)
+    if args.samples is not None and args.samples < 0:
+        raise ValueError(f"--samples must be non-negative, got {args.samples}")
+    report = existence_report(OperatorProblem.from_json(_load_descriptor(args.problem)))
+    tol = as_rational(args.tol) if args.tol is not None else DEFAULT_TOL
+    if report.verdict != "exists":
+        print(f"operator does not exist: {report.verdict}", file=sys.stderr)
+        return 3
+    spec = build_operator(report, tol)
     digits = _precision()
     out = sys.stderr if args.samples else sys.stdout
 
@@ -172,16 +160,16 @@ def cmd_operator(args) -> int:
     print(f"node order: {spec.node_order()}", file=out)
 
     if args.samples:
-        _emit_samples_csv(spec, problem, args.samples, digits)
+        _emit_samples_csv(spec, args.samples, digits)
     if args.json:
         _emit_json(spec.to_json(), args.json)
     return 0
 
 
-def _emit_samples_csv(spec, problem, count: int, digits: int):
+def _emit_samples_csv(spec, count: int, digits: int):
     """Equispaced basis samples as CSV on stdout (report went to stderr)."""
     n = spec.basis.order
-    a, b = problem.space.a, problem.space.b
+    a, b = spec.basis.a, spec.basis.b
     print("x," + ",".join(f"p{n}_{k}" for k in range(n + 1)))
     steps = max(count - 1, 1)
     for i in range(count):
@@ -253,8 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after -h, 2 on a usage error
+        return 0 if exc.code == 0 else 1
+    try:
+        return args.func(args)
+    except _REFUSALS as exc:
+        return _refuse(exc)
 
 
 if __name__ == "__main__":

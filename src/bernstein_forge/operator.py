@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
     ArityMismatch,
-    BadTolerance,
     DerivedBasisUnavailable,
     F0NotPositive,
     IdentityViolation,
@@ -74,13 +74,6 @@ class OperatorProblem:
     space: MonomialSpace
     f0: Polynomial
     f1: Polynomial
-
-    def to_json(self):
-        return {
-            "space": self.space.to_json(),
-            "f0": self.f0.to_sparse(),
-            "f1": self.f1.to_sparse(),
-        }
 
     @classmethod
     def from_json(cls, obj) -> "OperatorProblem":
@@ -167,19 +160,57 @@ _W_TO_MONO = dict(zip(W_TOKENS, MONO_TOKENS))
 
 @dataclass(frozen=True)
 class ExistenceReport:
+    """The exact facts about a problem; every summary is derived from them.
+
+    beta and gamma are absent when there is no non-negative Bernstein
+    basis, and w when some beta_k <= 0 or the derived basis is unavailable.
+    """
+
     problem: OperatorProblem
-    verdict: str
+    ratio_certificate: str
     basis: Optional[BernsteinBasis] = None
     no_basis: Optional[NoBasisReport] = None
     beta: Optional[tuple] = None
     gamma: Optional[tuple] = None
-    ratios: Optional[tuple] = None
-    in_range_flags: Optional[tuple] = None
-    monotonicity: Optional[str] = None
-    ratio_certificate: Optional[str] = None
     w: Optional[tuple] = None
-    w_summary: Optional[str] = None
-    cross_check: Optional[bool] = None
+
+    @property
+    def verdict(self) -> str:
+        if self.ratios is None:
+            return VERDICT_NO_BASIS if self.beta is None else VERDICT_BETA
+        return VERDICT_EXISTS if all(self.in_range_flags) else VERDICT_RANGE
+
+    @cached_property
+    def ratios(self) -> Optional[tuple]:
+        """gamma_k / beta_k, when every beta_k > 0."""
+        if self.beta is None or any(bk <= 0 for bk in self.beta):
+            return None
+        return tuple(g / bk for g, bk in zip(self.gamma, self.beta))
+
+    @cached_property
+    def in_range_flags(self) -> Optional[tuple]:
+        """Whether each ratio lies between f1(a)/f0(a) and f1(b)/f0(b), that
+        is, whether its node lies in [a, b]."""
+        if self.ratios is None:
+            return None
+        p, a, b = self.problem, self.problem.space.a, self.problem.space.b
+        r_lo, r_hi = p.f1(a) / p.f0(a), p.f1(b) / p.f0(b)
+        return tuple(r_lo <= r <= r_hi for r in self.ratios)
+
+    @property
+    def monotonicity(self) -> Optional[str]:
+        if self.ratios is None:
+            return None
+        return _signs([s - r for r, s in zip(self.ratios, self.ratios[1:])], MONO_TOKENS)
+
+    @property
+    def w_summary(self) -> Optional[str]:
+        return None if self.w is None else _signs(self.w, W_TOKENS)
+
+    @property
+    def cross_check(self) -> Optional[bool]:
+        """Whether the signs of w give the node monotonicity the ratios give."""
+        return None if self.w is None else _W_TO_MONO[self.w_summary] == self.monotonicity
 
     def to_json(self):
         rat = lambda xs: None if xs is None else [format_rational(x) for x in xs]
@@ -209,44 +240,19 @@ def existence_report(problem: OperatorProblem) -> ExistenceReport:
     ratio_cert = certify_problem(problem)
     basis = normalize_when_possible(bernstein_basis(problem.space))
     if isinstance(basis, NoBasisReport):
-        return ExistenceReport(problem, VERDICT_NO_BASIS, no_basis=basis,
-                               ratio_certificate=ratio_cert)
+        return ExistenceReport(problem, ratio_cert, no_basis=basis)
     if basis.positivity == GRADE_SIGNED:
-        return ExistenceReport(problem, VERDICT_NO_BASIS, basis=basis,
-                               ratio_certificate=ratio_cert)
+        return ExistenceReport(problem, ratio_cert, basis)
 
     beta = coordinates(problem.f0, basis)
     gamma = coordinates(problem.f1, basis)
-    common = dict(basis=basis, beta=beta, gamma=gamma, ratio_certificate=ratio_cert)
-    if any(bk <= 0 for bk in beta):
-        return ExistenceReport(problem, VERDICT_BETA, **common)
-
-    ratios = tuple(g / bk for g, bk in zip(gamma, beta))
-    a, b = problem.space.a, problem.space.b
-    r_lo = problem.f1(a) / problem.f0(a)
-    r_hi = problem.f1(b) / problem.f0(b)
-    flags = tuple(r_lo <= r <= r_hi for r in ratios)
-    monotonicity = _signs([s - r for r, s in zip(ratios, ratios[1:])], MONO_TOKENS)
-
-    w = w_summary = cross = None
-    try:
-        w, w_summary = w_coefficients(problem)
-        cross = _W_TO_MONO[w_summary] == monotonicity
-    except DerivedBasisUnavailable:
-        pass
-
-    verdict = VERDICT_EXISTS if all(flags) else VERDICT_RANGE
-    return ExistenceReport(
-        problem,
-        verdict,
-        ratios=ratios,
-        in_range_flags=flags,
-        monotonicity=monotonicity,
-        w=w,
-        w_summary=w_summary,
-        cross_check=cross,
-        **common,
-    )
+    w = None
+    if all(bk > 0 for bk in beta):
+        try:
+            w, _ = w_coefficients(problem)
+        except DerivedBasisUnavailable:
+            pass
+    return ExistenceReport(problem, ratio_cert, basis, beta=beta, gamma=gamma, w=w)
 
 
 def _interval_eval(p: Polynomial, lo: Fraction, hi: Fraction):
@@ -258,20 +264,30 @@ def _interval_eval(p: Polynomial, lo: Fraction, hi: Fraction):
     return acc_lo, acc_hi
 
 
+def _by_ratio(ratios) -> list:
+    """Node indices in increasing ratio order, ties by index: the order of
+    the nodes themselves, as f1/f0 is strictly increasing."""
+    return sorted(range(len(ratios)), key=ratios.__getitem__)
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
-    basis: BernsteinBasis
+    report: ExistenceReport
     nodes: tuple  # RootEnclosure per k
     weights: tuple  # Fraction when the node is exact, else (lo, hi) pair
     tol: Fraction
-    ratios: tuple
+
+    @property
+    def basis(self) -> BernsteinBasis:
+        return self.report.basis
 
     def node_order(self) -> str:
         """Node ordering implied by the exact ratio ordering, e.g. 't0 < t2 = t1'."""
-        idx = sorted(range(len(self.ratios)), key=lambda k: (self.ratios[k], k))
+        ratios = self.report.ratios
+        idx = _by_ratio(ratios)
         parts = [f"t{idx[0]}"]
         for prev, cur in zip(idx, idx[1:]):
-            sep = " = " if self.ratios[cur] == self.ratios[prev] else " < "
+            sep = " = " if ratios[cur] == ratios[prev] else " < "
             parts.append(sep + f"t{cur}")
         return "".join(parts)
 
@@ -303,35 +319,34 @@ def build_operator(report: ExistenceReport, tol=DEFAULT_TOL) -> OperatorSpec:
     if report.verdict != VERDICT_EXISTS:
         raise ValueError(f"operator does not exist: verdict {report.verdict}")
     tol = as_rational(tol)
-    if tol <= 0:
-        raise BadTolerance(f"tolerance must be positive, got {format_rational(tol)}")
     problem = report.problem
     a, b = problem.space.a, problem.space.b
-    f0, f1 = problem.f0, problem.f1
+    f0, f1, ratios = problem.f0, problem.f1, report.ratios
 
     nodes = []
-    for r in report.ratios:
+    for r in ratios:
         g = f1 - f0.scale(r)
         # f1/f0 strictly increasing => g has one root in [a, b], a crossing
         enc = bisect_root(g, a, b, tol)
         root = rational_root_in(g, enc)
         nodes.append(enc if root is None else RootEnclosure(root, root))
 
-    # Distinct ratios must yield separated enclosures at this tolerance.
-    order = sorted(range(len(nodes)), key=lambda k: (report.ratios[k], k))
+    # Distinct ratios must yield separated enclosures at this tolerance.  As
+    # f1/f0 is strictly increasing, exact nodes of distinct ratios are
+    # distinct points in ratio order, so only an enclosure can overlap.
+    order = _by_ratio(ratios)
     for i, j in zip(order, order[1:]):
-        if report.ratios[i] != report.ratios[j] and not nodes[i].hi < nodes[j].lo:
-            if not (nodes[i].is_exact and nodes[j].is_exact):
-                raise ToleranceTooLoose(
-                    f"enclosures for t{i} and t{j} overlap at tol {format_rational(tol)}"
-                )
+        if ratios[i] != ratios[j] and not nodes[i].hi < nodes[j].lo:
+            raise ToleranceTooLoose(
+                f"enclosures for t{i} and t{j} overlap at tol {format_rational(tol)}"
+            )
 
     # The bound of f0 over an exact node is its exact, positive value.
     weights = []
     for k, enc in enumerate(nodes):
         f_lo, f_hi = _interval_eval(f0, enc.lo, enc.hi)
         while f_lo <= 0:  # f0 > 0 on [a,b]; refine until the bound shows it
-            enc = bisect_root(f1 - f0.scale(report.ratios[k]), enc.lo, enc.hi, enc.width / 4)
+            enc = bisect_root(f1 - f0.scale(ratios[k]), enc.lo, enc.hi, enc.width / 4)
             f_lo, f_hi = _interval_eval(f0, enc.lo, enc.hi)
         nodes[k] = enc
         if f_lo == f_hi:  # exact node, or f0 constant over the enclosure (e.g. f0 = 1)
@@ -339,13 +354,12 @@ def build_operator(report: ExistenceReport, tol=DEFAULT_TOL) -> OperatorSpec:
         else:
             weights.append((report.beta[k] / f_hi, report.beta[k] / f_lo))
 
-    return OperatorSpec(
-        basis=report.basis,
-        nodes=tuple(nodes),
-        weights=tuple(weights),
-        tol=tol,
-        ratios=report.ratios,
-    )
+    return OperatorSpec(report=report, nodes=tuple(nodes), weights=tuple(weights), tol=tol)
+
+
+def _check_arity(spec: OperatorSpec, samples):
+    if len(samples) != len(spec.nodes):
+        raise ArityMismatch(f"{len(samples)} samples for {len(spec.nodes)} nodes")
 
 
 def operator_combination(spec: OperatorSpec, samples) -> Polynomial:
@@ -353,8 +367,7 @@ def operator_combination(spec: OperatorSpec, samples) -> Polynomial:
 
     Requires exact rational weights (all nodes rational).
     """
-    if len(samples) != len(spec.nodes):
-        raise ArityMismatch(f"{len(samples)} samples for {len(spec.nodes)} nodes")
+    _check_arity(spec, samples)
     if any(isinstance(w, tuple) for w in spec.weights):
         raise ValueError("operator has enclosure weights; no exact combination")
     out = Polynomial.zero()
@@ -369,20 +382,16 @@ def evaluate_operator(spec: OperatorSpec, samples, x):
     Returns an exact Fraction when all weights are rational, otherwise a
     rigorous (lo, hi) rational enclosure.
     """
-    if len(samples) != len(spec.nodes):
-        raise ArityMismatch(f"{len(samples)} samples for {len(spec.nodes)} nodes")
+    _check_arity(spec, samples)
     x = as_rational(x)
-    exact = not any(isinstance(w, tuple) for w in spec.weights)
-    if exact:
-        return operator_combination(spec, samples)(x)
     lo_t = hi_t = Fraction(0)
     for s, w, p in zip(samples, spec.weights, spec.basis.elements):
-        sv = as_rational(s)
         w_lo, w_hi = w if isinstance(w, tuple) else (w, w)
-        vals = (sv * w_lo * p(x), sv * w_hi * p(x))
+        sp = as_rational(s) * p(x)
+        vals = (sp * w_lo, sp * w_hi)
         lo_t += min(vals)
         hi_t += max(vals)
-    return (lo_t, hi_t)
+    return (lo_t, hi_t) if any(isinstance(w, tuple) for w in spec.weights) else lo_t
 
 
 @dataclass(frozen=True)
@@ -405,7 +414,10 @@ class StructuralDiagnostics:
     beta: tuple
     gamma: tuple
     w: tuple
-    w_summary: str
+
+    @property
+    def w_summary(self) -> str:
+        return _signs(self.w, W_TOKENS)
 
     def delta(self, k0: int) -> tuple:
         pivot = self.gamma[k0] / self.beta[k0]
@@ -425,7 +437,7 @@ def structural_diagnostics(problem: OperatorProblem) -> StructuralDiagnostics:
     if isinstance(basis, NoBasisReport):
         raise DerivedBasisUnavailable(f"no Bernstein basis: {basis.to_json()}")
     rep = derived_space(problem.space, problem.f0)
-    w, w_summary = w_coefficients(problem, rep)
+    w, _ = w_coefficients(problem, rep)
     beta = coordinates(problem.f0, basis)
     gamma = coordinates(problem.f1, basis)
 
@@ -437,19 +449,16 @@ def structural_diagnostics(problem: OperatorProblem) -> StructuralDiagnostics:
     ok = []
     for k, p in enumerate(basis.elements):
         target = p.derivative() * f0 - p * f0d
+        window = q[max(k - 1, 0):k + 1]  # (Q_{k-1}, Q_k), without Q_{-1} and Q_n
         try:
-            vals = list(coordinates(target, q[max(k - 1, 0):k + 1]))
+            vals = coordinates(target, window)
         except NotInSpace as exc:
             raise IdentityViolation(f"derivative expansion failed at k={k}") from exc
         if k >= 1:
-            c[k] = vals.pop(0)
+            c[k] = vals[0]
         if k <= n - 1:
-            d[k] = vals.pop(0)
-        recon = Polynomial.zero()
-        if k >= 1:
-            recon = recon + q[k - 1].scale(c[k])
-        if k <= n - 1:
-            recon = recon + q[k].scale(d[k])
+            d[k] = vals[-1]
+        recon = sum((qk.scale(v) for v, qk in zip(vals, window)), Polynomial.zero())
         ok.append(recon == target)
     if not all(ok):
         raise IdentityViolation("exact reconstruction mismatch")
@@ -464,5 +473,4 @@ def structural_diagnostics(problem: OperatorProblem) -> StructuralDiagnostics:
         beta=beta,
         gamma=gamma,
         w=w,
-        w_summary=w_summary,
     )

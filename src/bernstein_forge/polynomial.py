@@ -11,12 +11,16 @@ homogeneous Horner sum over Python ints divided by D v^d at the end.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
 from .errors import NonExactDivision
-from .rational import as_rational, format_rational, integer_form
+from .rational import as_rational, format_rational, integer_form, read_integer
+
+# One "degree:coefficient" term; the coefficient is checked by as_rational.
+_SPARSE_TERM = re.compile(r"(\d+)\s*:(.*)", re.DOTALL)
 
 _NEG_INF = float("-inf")
 
@@ -74,8 +78,11 @@ class Polynomial:
     def from_sparse(cls, text: str) -> "Polynomial":
         """Parse the sparse "degree:coefficient" pair format.
 
-        Example: ``"0:1/4,2:-3/8,6:1/8"``.  The empty string and ``"0:0"``
-        both denote the zero polynomial.
+        Example: ``"0:1/4,2:-3/8,6:1/8"``.  Terms are separated by commas;
+        each is a non-negative integer degree, a colon and a rational (see
+        `as_rational`), with whitespace allowed around each part.  A term
+        outside this grammar is refused by a ValueError naming it.  The
+        empty string and ``"0:0"`` both denote the zero polynomial.
         """
         text = text.strip()
         if not text:
@@ -85,10 +92,14 @@ class Polynomial:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            deg_s, _, coef_s = chunk.partition(":")
-            deg = int(deg_s)
-            if deg < 0:
-                raise ValueError(f"negative degree in sparse polynomial: {chunk!r}")
+            match = _SPARSE_TERM.fullmatch(chunk)
+            if match is None:
+                raise ValueError(
+                    f"sparse term is not \"degree:coefficient\" with a non-negative "
+                    f"integer degree: {chunk!r}"
+                )
+            deg_s, coef_s = match.groups()
+            deg = read_integer(deg_s, chunk)
             if deg in coeffs:
                 raise ValueError(f"duplicate degree {deg} in sparse polynomial")
             coeffs[deg] = as_rational(coef_s)

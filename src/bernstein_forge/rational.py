@@ -37,18 +37,28 @@ def as_rational(value) -> Fraction:
         if match is None:
             raise ValueError(f"not an exact rational \"p\" or \"p/q\": {value!r}")
         num, den = match.groups()
-        try:
-            num, den = int(num), int(den or 1)
-        except ValueError:  # more digits than the interpreter converts from text
-            digits = max(len(num.lstrip("+-")), len(den or ""))
-            raise ValueError(
-                f"integer of {digits} digits in rational text starting "
-                f"{value.strip()[:20]!r}; at most {sys.get_int_max_str_digits()} are read"
-            ) from None
+        num, den = read_integer(num, value), read_integer(den or "1", value)
         if den == 0:
             raise ValueError(f"zero denominator in {value!r}")
         return Fraction(num, den)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def read_integer(digits: str, text: str | None = None) -> int:
+    """int(digits) for an optionally signed digit string found in `text`
+    (by default the digits themselves).
+
+    Past the interpreter's limit on converting digit strings, the
+    ValueError names the digit count and the first characters of text.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        text = digits if text is None else text
+        raise ValueError(
+            f"integer of {len(digits.strip().lstrip('+-'))} digits in text starting "
+            f"{text.strip()[:20]!r}; at most {sys.get_int_max_str_digits()} are read"
+        ) from None
 
 
 def integer_form(values) -> tuple:

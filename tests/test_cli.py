@@ -195,6 +195,11 @@ class TestRationalText:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(text) in err
 
+    def test_empty_tol_refused(self, capsys):
+        assert cli.main(["operator", self.problem(), "--tol", ""]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "''" in err
+
     def test_integer_beyond_the_digit_limit_refused(self, capsys):
         space = json.dumps({"exponents": [0, 1], "a": "0", "b": "1" + "0" * 4400})
         assert cli.main(["basis", space]) == 1
@@ -209,6 +214,32 @@ class TestRationalText:
         assert cli.main(["basis", space, "--json", str(out)]) == 0
         assert json.loads(out.read_text())["space"]["a"] == a
         assert capsys.readouterr().out.startswith(f"interval  [{a}, 1]")
+
+
+class TestSparseText:
+    """Sparse polynomial text is "degree:coefficient" terms; other text, and
+    integers past the interpreter's digit limit, exit 1 named."""
+
+    BIG = "1" + "0" * 4400
+
+    @pytest.mark.parametrize("argv, named", [
+        (["exists", TestRationalText.problem(f1=BIG + ":1")], "4401 digits"),
+        (["exists", TestRationalText.problem(f1="x:1")], "'x:1'"),
+        (["exists", TestRationalText.problem(f1="1")], "'1'"),
+        (["exists", TestRationalText.problem(f1="1:1, -1:1")], "'-1:1'"),
+        (["basis", '{"exponents": [0, %s], "a": "0", "b": "1"}' % BIG], "4401 digits"),
+    ], ids=["degree-digits", "degree-not-integer", "no-colon", "negative-degree", "json-integer"])
+    def test_refused_and_named(self, capsys, argv, named):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "set_int_max_str_digits" not in err
+
+    def test_json_integer_in_a_file(self, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text('{"exponents": [0, %s], "a": "0", "b": "1"}' % self.BIG)
+        assert cli.main(["basis", str(path)]) == 1
+        assert "4401 digits" in capsys.readouterr().err
 
 
 class TestMissingKeys:
@@ -244,6 +275,42 @@ class TestRefusals:
 
         monkeypatch.setattr(spaces, "normalize_partition_of_unity", broken)
         assert cli.main(["basis", SPACE_E1]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1, since 2 means "no Bernstein basis"."""
+
+    @pytest.mark.parametrize("argv", [
+        ["basis"], [], ["operator", PROBLEM_E1, "--samples", "abc"],
+    ], ids=["no-descriptor", "no-command", "samples-not-an-integer"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert cli.main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["operator", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_process_exit_code(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "bernstein_forge.cli", "basis"],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+
+
+class TestUnwritableJson:
+    """A --json path that cannot be written is a refusal, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["basis", SPACE_E1], ["basis", SPACE_BAD], ["exists", PROBLEM_E1],
+        ["operator", PROBLEM_E1], ["corpus", "--filter", "e1-*"],
+    ], ids=["basis", "basis-none", "exists", "operator", "corpus"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_refused(self, tmp_path, capsys, argv, where):
+        path = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+        assert cli.main(argv + ["--json", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
 

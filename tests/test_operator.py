@@ -383,29 +383,49 @@ def positive_weights(draw, a, b):
     return Polynomial([m * m + draw(small_rationals(1, 8)), -2 * m, 1])
 
 
+def bernstein_form(w, a, b) -> Polynomial:
+    """sum of w_k (x - a)^k (b - x)^(m - k) over k = 0..m, m = len(w) - 1."""
+    out = Polynomial.zero()
+    for k, wk in enumerate(w):
+        term = Polynomial([wk])
+        for _ in range(k):
+            term = term * (X - Polynomial([a]))
+        for _ in range(len(w) - 1 - k):
+            term = term * (Polynomial([b]) - X)
+        out = out + term
+    return out
+
+
 @st.composite
-def planted_zero_problems(draw):
+def planted_zero_problems(draw, zeros=("interior", "a", "b", None)):
     """(problem, zero): f0 positive on [a, b] (see `positive_weights`) and
     f1 = f0 phi, phi = integral of (x - c)^2 q + mu with q > 0 on [a, b],
     so (f1/f0)' = phi' = (x - c)^2 q.  The space is the span of x^0..x^deg,
     deg = n + deg f0 with n = 2..6 - deg f0, which holds f1, and in a gap
     span one or two higher exponents besides.
 
-    zero says where (f1/f0)' vanishes on [a, b]: "interior", "a", "b", or
-    None when c is absent.  n = 2 leaves no room for the factor (x - c)^2,
-    so c is absent there.
+    zero, drawn from zeros, says where (f1/f0)' vanishes on [a, b]:
+    "interior", "a", "b", or None when c is absent.  n = 2 leaves no room
+    for the factor (x - c)^2, so c is absent there.  With c absent, q may
+    also be drawn as `bernstein_form` of non-negative integers, positive at
+    both ends: with f0 = 1 on a full space, a zero among them gives two
+    equal ratios.
     """
     a = draw(small_rationals(-12, 12))
     b = a + draw(small_rationals(1, 12))
     f0 = positive_weights(draw, a, b)
     n = draw(st.integers(2, 6 - f0.degree))
-    zero = draw(st.sampled_from(["interior", "a", "b", None])) if n >= 3 else None
+    zero = draw(st.sampled_from(zeros)) if n >= 3 else None
     if zero == "interior":
         c = a + (b - a) * draw(st.integers(1, 7)) / 8
     else:
         c = {"a": a, "b": b}.get(zero)
     derivative = Polynomial([draw(small_rationals(1, 8))])
     room = n - 1 - (2 if zero else 0)
+    if zero is None and draw(st.booleans()):
+        ends = st.integers(1, 3)
+        w = [draw(ends), *(draw(st.integers(0, 2)) for _ in range(n - 2)), draw(ends)]
+        derivative, room = derivative * bernstein_form(w, a, b), 0
     while room > 0 and draw(st.booleans()):
         factor = draw(st.sampled_from(["above-a", "below-b", "square"]))
         if factor == "square" and room >= 2:
@@ -436,9 +456,9 @@ class TestNecessaryCondition:
     nodes need it on [a, b].  So an operator that exists although
     (f1/f0)' has a planted zero inside (a, b) has non-monotone nodes, and
     one with a zero anywhere on [a, b] has nodes that are not strictly
-    increasing.  The converse fails: the corpus case
-    `counterexample-w-signs` has a strictly increasing ratio and
-    non-monotone nodes.
+    increasing.  The converse fails: a strictly increasing ratio allows
+    non-decreasing and non-monotone nodes, as in the corpus case
+    `counterexample-w-signs` and in `test_converse_examples`.
     """
 
     @given(planted_zero_problems())
@@ -465,6 +485,36 @@ class TestNecessaryCondition:
         assert report.verdict == VERDICT_EXISTS
         assert report.ratio_certificate == RATIO_CRITICAL
         assert report.monotonicity == monotonicity
+
+    @pytest.mark.parametrize("n, a, b, f1, ratios, monotonicity", [
+        # f1' = (x + 3/2)^2 + 1/4 > 0 on [-2, -1]
+        (3, -2, -1, "1:5/2,2:3/2,3:1/3", ["-5/3", "-3/2", "-3/2", "-4/3"], MONO_NON_DECREASING),
+        # f1' = 1/2 + x + x^2 = (x + 1/2)^2 + 1/4 > 0 on [-2, 0]
+        (4, -2, 0, "1:1/2,2:1/2,3:1/3", ["-5/3", "-5/12", "-1/6", "-1/4", "0"], MONO_NONE),
+    ])
+    def test_converse_examples(self, n, a, b, f1, ratios, monotonicity):
+        report = existence_report(
+            OperatorProblem(full_space(n, a, b), ONE, Polynomial.from_sparse(f1)))
+        assert report.verdict == VERDICT_EXISTS
+        assert report.ratio_certificate == RATIO_STRICT
+        assert report.ratios == tuple(Fraction(r) for r in ratios)
+        assert report.monotonicity == monotonicity
+        assert report.cross_check is True
+
+    def test_every_node_class_under_a_strictly_increasing_ratio(self):
+        # One fixed-seed run of draws with no planted zero.
+        seen = set()
+
+        @given(planted_zero_problems(zeros=(None,)))
+        @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        def draw(case):
+            report = existence_report(case[0])
+            assert report.ratio_certificate == RATIO_STRICT
+            if report.verdict == VERDICT_EXISTS:
+                seen.add(report.monotonicity)
+
+        draw()
+        assert seen == {MONO_STRICT, MONO_NON_DECREASING, MONO_NONE}
 
     def test_endpoint_zero_corpus_case_closed_forms(self):
         # On [0, 1], x^m = sum over k of C(k, m) / C(n, m) B_{n,k}: gamma for

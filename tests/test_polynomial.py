@@ -160,6 +160,17 @@ class TestRepresentation:
         assert Polynomial.from_sparse("").is_zero
         assert Polynomial.from_sparse("0:0").to_sparse() == "0:0"
 
+    @pytest.mark.parametrize("text, named", [
+        ("x:1", "'x:1'"), ("1", "'1'"), ("0:1, -1:1", "'-1:1'"), ("2 3:1", "'2 3:1'"),
+        ("1:2:3", "'2:3'"), ("1" + "0" * 4400 + ":1", "4401 digits"),
+    ], ids=["degree-not-integer", "no-colon", "negative-degree", "two-degrees",
+            "two-colons", "degree-digits"])
+    def test_sparse_grammar_refusals_named(self, text, named):
+        with pytest.raises(ValueError) as info:
+            Polynomial.from_sparse(text)
+        assert named in str(info.value)
+        assert "set_int_max_str_digits" not in str(info.value)
+
     def test_primitive_clears_denominators(self):
         p = Polynomial.from_sparse("0:1/2,1:3/4")
         assert p.primitive() == Polynomial.from_sparse("0:2,1:3")

@@ -26,6 +26,7 @@ from bernstein_forge import (
     solve_linear,
 )
 from bernstein_forge.rational import format_rational
+from bernstein_forge.spaces import GRADE_POSITIVE
 from bernstein_forge.sturm import classify_on_interval
 
 X = Polynomial.monomial(1)
@@ -460,3 +461,25 @@ class TestRefusalChoice:
             classify_on_interval(p, space.a, space.b) for p in reference)
         for basis in (result, normalize_when_possible(result)):
             assert basis.to_json() == derived_fields_json(basis)
+
+
+@st.composite
+def one_signed_spans(draw):
+    """1 to 6 exponents from 0..13 on an interval 0 < a < b, or its mirror."""
+    exps = sorted(draw(st.lists(st.integers(0, 13), min_size=1, max_size=6, unique=True)))
+    a = draw(small_rationals(1, 8))
+    b = a + draw(small_rationals(1, 12))
+    return build_space(exps, *((-b, -a) if draw(st.booleans()) else (a, b)))
+
+
+class TestOneSignedIntervals:
+    @given(one_signed_spans())
+    @settings(max_examples=200, deadline=None)
+    def test_strictly_positive_basis(self, space):
+        """On an interval inside (0, inf) or (-inf, 0) a monomial span is an
+        extended Chebyshev space (Descartes' rule of signs), so it has a
+        Bernstein basis of strictly positive elements: Mazure, "Chebyshev
+        spaces and Bernstein bases", Constr. Approx. (2005)."""
+        basis = bernstein_basis(space)
+        assert isinstance(basis, BernsteinBasis)
+        assert basis.positivity == GRADE_POSITIVE
