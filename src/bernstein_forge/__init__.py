@@ -39,7 +39,6 @@ from .polynomial import Polynomial
 from .rational import as_rational, format_decimal, format_rational
 from .spaces import (
     BernsteinBasis,
-    DerivedSpaceRep,
     MonomialSpace,
     NoBasisReport,
     basis_from_generators,

@@ -23,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import BernsteinForgeError, F0NotPositive, RatioNotMonotone
+from .errors import BadTolerance, BernsteinForgeError, F0NotPositive, RatioNotMonotone
 from .operator import (
     DEFAULT_TOL,
     OperatorProblem,
@@ -45,14 +45,15 @@ def _precision() -> int:
 
 
 def _load_descriptor(text: str) -> dict:
-    """Accept inline JSON or a path to a JSON file ('-' reads stdin).
+    """Accept inline JSON (an object or an array) or a path to a JSON file
+    ('-' reads stdin).
 
     Integer literals are read by `read_integer`, which refuses one past the
     interpreter's digit limit by its digit count.
     """
     if text == "-":
         return json.loads(sys.stdin.read(), parse_int=read_integer)
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         return json.loads(text, parse_int=read_integer)
     with open(text, "r", encoding="utf-8") as fh:
         return json.load(fh, parse_int=read_integer)
@@ -136,8 +137,10 @@ def cmd_exists(args) -> int:
 def cmd_operator(args) -> int:
     if args.samples is not None and args.samples < 0:
         raise ValueError(f"--samples must be non-negative, got {args.samples}")
-    report = existence_report(OperatorProblem.from_json(_load_descriptor(args.problem)))
     tol = as_rational(args.tol) if args.tol is not None else DEFAULT_TOL
+    if tol <= 0:
+        raise BadTolerance(f"tolerance must be positive, got {format_rational(tol)}")
+    report = existence_report(OperatorProblem.from_json(_load_descriptor(args.problem)))
     if report.verdict != "exists":
         print(f"operator does not exist: {report.verdict}", file=sys.stderr)
         return 3

@@ -115,10 +115,9 @@ def _case_endpoint_zero() -> dict:
 
 def _case_derived_e4() -> dict:
     space = build_space([0, 1, 2, 3, 6], -1, 1)
-    rep = derived_space(space, ONE)
-    if isinstance(rep, NoBasisReport):
-        return rep.to_json()
-    basis = rep.basis
+    basis = derived_space(space, ONE)
+    if isinstance(basis, NoBasisReport):
+        return basis.to_json()
     out = {
         **basis.to_json(),
         "support": sorted({e for p in basis.elements for e in p.support()}),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import (
     ArityMismatch,
@@ -28,12 +28,12 @@ from .rational import as_rational, format_rational
 from .spaces import (
     GRADE_SIGNED,
     BernsteinBasis,
-    DerivedSpaceRep,
     MonomialSpace,
     NoBasisReport,
     bernstein_basis,
     certify_positive_on_closed,
     coordinates,
+    derived_numerator,
     derived_space,
     descriptor_fields,
     normalize_when_possible,
@@ -91,11 +91,6 @@ def _polynomial_field(key: str, text) -> Polynomial:
     return Polynomial.from_sparse(text)
 
 
-def ratio_numerator(problem: OperatorProblem) -> Polynomial:
-    """Numerator of (f1/f0)': f1' f0 - f1 f0'."""
-    return problem.f1.derivative() * problem.f0 - problem.f1 * problem.f0.derivative()
-
-
 def certify_monotone_ratio(problem: OperatorProblem):
     """Classify the monotonicity of f1/f0 on [a, b] with an exact certificate.
 
@@ -106,7 +101,7 @@ def certify_monotone_ratio(problem: OperatorProblem):
     a, b = problem.space.a, problem.space.b
     if not certify_positive_on_closed(problem.f0, a, b):
         raise F0NotPositive("f0 must be strictly positive on [a, b]")
-    n1 = ratio_numerator(problem)
+    n1 = derived_numerator(problem.f1, problem.f0)
     cls = classify_on_interval(n1, a, b)
     sa, sb = n1.sign_at(a), n1.sign_at(b)
     if cls.verdict == STRICTLY_POSITIVE and sa > 0 and sb > 0:
@@ -128,21 +123,21 @@ def certify_problem(problem: OperatorProblem):
     return token
 
 
-def w_coefficients(problem: OperatorProblem, rep: Optional[DerivedSpaceRep] = None):
-    """Coordinates of (f1/f0)' in the derived-space Bernstein basis.
+def w_coefficients(problem: OperatorProblem,
+                   derived: Union[BernsteinBasis, NoBasisReport]) -> tuple:
+    """Coordinates w of (f1/f0)' in `derived`, the derived-space basis
+    that `derived_space(problem.space, problem.f0)` returns.
 
     Computed on numerators: both sides of the expansion share the factor
-    1/f0^2, so the coordinates of f1' f0 - f1 f0' in the numerator basis
-    are exactly the w coefficients.  Returns (w, sign-summary).
+    1/f0^2, so the coordinates of the derived numerator of f1 in the
+    numerator basis are exactly the w coefficients.  Raises
+    DerivedBasisUnavailable for a refusal report or a signed basis.
     """
-    if rep is None:
-        rep = derived_space(problem.space, problem.f0)
-    if isinstance(rep, NoBasisReport):
-        raise DerivedBasisUnavailable(f"derived basis refused: {rep.to_json()}")
-    if rep.basis.positivity == GRADE_SIGNED:
+    if isinstance(derived, NoBasisReport):
+        raise DerivedBasisUnavailable(f"derived basis refused: {derived.to_json()}")
+    if derived.positivity == GRADE_SIGNED:
         raise DerivedBasisUnavailable("derived Bernstein basis is not non-negative")
-    w = coordinates(ratio_numerator(problem), rep.basis)
-    return tuple(w), _signs(w, W_TOKENS)
+    return coordinates(derived_numerator(problem.f1, problem.f0), derived)
 
 
 def _signs(values, tokens) -> str:
@@ -249,7 +244,7 @@ def existence_report(problem: OperatorProblem) -> ExistenceReport:
     w = None
     if all(bk > 0 for bk in beta):
         try:
-            w, _ = w_coefficients(problem)
+            w = w_coefficients(problem, derived_space(problem.space, problem.f0))
         except DerivedBasisUnavailable:
             pass
     return ExistenceReport(problem, ratio_cert, basis, beta=beta, gamma=gamma, w=w)
@@ -401,23 +396,19 @@ class StructuralDiagnostics:
     For every k the numerator of (p_k / f0)' equals
     c_k Q_{k-1} + d_k Q_k with the boundary conventions c_0 = d_n = 0;
     with non-negative bases all interior c_k are positive and all interior
-    d_k negative.  delta(k0) and the recurrence c_{k+1} delta_{k+1} = w_k -
-    delta_k d_k tie the w coefficients to the coordinate ratios.
+    d_k negative, where Q is the derived-space basis `derived`.  delta(k0)
+    and the recurrence c_{k+1} delta_{k+1} = w_k - delta_k d_k tie the w
+    coefficients to the coordinate ratios.
     """
 
     problem: OperatorProblem
     basis: BernsteinBasis
-    derived: DerivedSpaceRep
+    derived: BernsteinBasis
     c: tuple
     d: tuple
-    eqprec_ok: tuple
     beta: tuple
     gamma: tuple
     w: tuple
-
-    @property
-    def w_summary(self) -> str:
-        return _signs(self.w, W_TOKENS)
 
     def delta(self, k0: int) -> tuple:
         pivot = self.gamma[k0] / self.beta[k0]
@@ -436,19 +427,17 @@ def structural_diagnostics(problem: OperatorProblem) -> StructuralDiagnostics:
     basis = normalize_when_possible(bernstein_basis(problem.space))
     if isinstance(basis, NoBasisReport):
         raise DerivedBasisUnavailable(f"no Bernstein basis: {basis.to_json()}")
-    rep = derived_space(problem.space, problem.f0)
-    w, _ = w_coefficients(problem, rep)
+    derived = derived_space(problem.space, problem.f0)
+    w = w_coefficients(problem, derived)
     beta = coordinates(problem.f0, basis)
     gamma = coordinates(problem.f1, basis)
 
-    q = rep.basis.elements
+    q = derived.elements
     n = basis.order
-    f0, f0d = problem.f0, problem.f0.derivative()
     c = [Fraction(0)] * (n + 1)
     d = [Fraction(0)] * (n + 1)
-    ok = []
     for k, p in enumerate(basis.elements):
-        target = p.derivative() * f0 - p * f0d
+        target = derived_numerator(p, problem.f0)
         window = q[max(k - 1, 0):k + 1]  # (Q_{k-1}, Q_k), without Q_{-1} and Q_n
         try:
             vals = coordinates(target, window)
@@ -459,17 +448,15 @@ def structural_diagnostics(problem: OperatorProblem) -> StructuralDiagnostics:
         if k <= n - 1:
             d[k] = vals[-1]
         recon = sum((qk.scale(v) for v, qk in zip(vals, window)), Polynomial.zero())
-        ok.append(recon == target)
-    if not all(ok):
-        raise IdentityViolation("exact reconstruction mismatch")
+        if recon != target:
+            raise IdentityViolation(f"exact reconstruction mismatch at k={k}")
 
     return StructuralDiagnostics(
         problem=problem,
         basis=basis,
-        derived=rep,
+        derived=derived,
         c=tuple(c),
         d=tuple(d),
-        eqprec_ok=tuple(ok),
         beta=beta,
         gamma=gamma,
         w=w,

@@ -286,27 +286,6 @@ def coordinates(f: Polynomial, basis: Union[BernsteinBasis, tuple, list]) -> tup
     return sol.particular
 
 
-@dataclass(frozen=True)
-class DerivedSpaceRep:
-    """Derived space {(f/f0)'} represented by numerator polynomials.
-
-    Each stored basis element Q satisfies q = Q / f0^2 for the actual
-    derived-space element q; since f0^2 > 0 on [a, b], zero orders and
-    sign classifications transfer unchanged.
-    """
-
-    base_space: MonomialSpace
-    f0: Polynomial
-    basis: BernsteinBasis
-
-    def to_json(self):
-        return {
-            "base_space": self.base_space.to_json(),
-            "f0": self.f0.to_sparse(),
-            "basis": self.basis.to_json(),
-        }
-
-
 def certify_positive_on_closed(p: Polynomial, a, b) -> bool:
     """Exact check that p > 0 on the closed interval [a, b]."""
     if p.sign_at(a) <= 0 or p.sign_at(b) <= 0:
@@ -314,31 +293,35 @@ def certify_positive_on_closed(p: Polynomial, a, b) -> bool:
     return classify_on_interval(p, a, b).verdict == STRICTLY_POSITIVE
 
 
-def derived_space(space: MonomialSpace, f0: Polynomial) -> Union[DerivedSpaceRep, NoBasisReport]:
-    """Numerator-space representation of {d/dx (f / f0) : f in the space}.
+def derived_numerator(f: Polynomial, f0: Polynomial) -> Polynomial:
+    """f' f0 - f f0', the numerator of (f / f0)' over the common f0^2."""
+    return f.derivative() * f0 - f * f0.derivative()
 
-    The map f -> f' f0 - f f0' is linear on the space with kernel span{f0}
-    (f/f0 is constant exactly there), so the images of the n + 1 monomial
-    generators obey one relation, whose coefficients are the coordinates of
-    f0.  Its coefficient at x^deg(f0) is the leading coefficient of f0, not
-    zero, so dropping that one image leaves n independent generators of the
-    derived space; it is also the one image that an ascending search for an
+
+def derived_space(space: MonomialSpace, f0: Polynomial) -> Union[BernsteinBasis, NoBasisReport]:
+    """Bernstein basis of {d/dx (f / f0) : f in the space}, by numerators.
+
+    Each element Q of the returned basis stands for the derived-space
+    element Q / f0^2; since f0^2 > 0 on [a, b], zero orders and sign
+    classifications transfer unchanged.  The map f -> derived_numerator(f, f0)
+    is linear on the space with kernel span{f0} (f/f0 is constant exactly
+    there), so the images of the n + 1 monomial generators obey one
+    relation, whose coefficients are the coordinates of f0.  Its
+    coefficient at x^deg(f0) is the leading coefficient of f0, not zero, so
+    dropping that one image leaves n independent generators of the derived
+    space; it is also the one image that an ascending search for an
     independent subset rejects.  Were the generators ever dependent, the
     dependency would satisfy every vanishing condition, so each element
     would have a null space of dimension above one (a refusal) or be the
     zero polynomial (a ValueError): never a wrong basis.  The basis is
     built with target zero orders (k, n-1-k) and normalized to a partition
     of unity whenever the constant lies in the span and the basis is
-    non-negative.
+    non-negative.  A span with no Bernstein basis gives its refusal report.
     """
     if not space.contains(f0):
         raise NotInSpace("f0 must lie in the space")
     if not certify_positive_on_closed(f0, space.a, space.b):
         raise F0NotPositive("f0 must be strictly positive on [a, b]")
 
-    f0d = f0.derivative()
-    images = [g.derivative() * f0 - g * f0d for g in space.monomials() if g.degree != f0.degree]
-    result = normalize_when_possible(basis_from_generators(images, space.a, space.b))
-    if isinstance(result, NoBasisReport):
-        return result
-    return DerivedSpaceRep(base_space=space, f0=f0, basis=result)
+    images = [derived_numerator(g, f0) for g in space.monomials() if g.degree != f0.degree]
+    return normalize_when_possible(basis_from_generators(images, space.a, space.b))

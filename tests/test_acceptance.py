@@ -173,18 +173,18 @@ def test_criterion_06_negative_w_despite_increasing_ratio():
 
 
 def test_criterion_07_derived_space_of_degree_six_gap_space():
-    rep = derived_space(build_space([0, 1, 2, 3, 6], -1, 1), ONE)
-    assert sorted({e for p in rep.basis.elements for e in p.support()}) == [0, 1, 2, 5]
-    assert rep.basis.positivity == "positive"
+    derived = derived_space(build_space([0, 1, 2, 3, 6], -1, 1), ONE)
+    assert sorted({e for p in derived.elements for e in p.support()}) == [0, 1, 2, 5]
+    assert derived.positivity == "positive"
     # Compare against the value-1-at-0 scaling convention of the source data.
-    rescaled = [p.scale(1 / p(0)).to_sparse() for p in rep.basis.elements]
+    rescaled = [p.scale(1 / p(0)).to_sparse() for p in derived.elements]
     assert rescaled == [
         "0:1,1:-5/2,2:5/3,5:-1/6",
         "0:1,1:-1/2,2:-1,5:1/2",
         "0:1,1:1/2,2:-1,5:-1/2",
         "0:1,1:5/2,2:5/3,5:1/6",
     ]
-    assert rep.basis.elements[0].scale(1 / rep.basis.elements[0](0)).coeff(5) == Fraction(-1, 6)
+    assert derived.elements[0].scale(1 / derived.elements[0](0)).coeff(5) == Fraction(-1, 6)
     ok(7, "derived space span{1, x, x^2, x^5}: all four elements, grade positive")
 
 
@@ -245,12 +245,11 @@ def _structural_problems():
 def test_criterion_10_structural_identities():
     count = 0
     for prob in _structural_problems():
-        try:
+        try:  # IdentityViolation unless the expansion is exact for every k
             diag = structural_diagnostics(prob)
         except DerivedBasisUnavailable:
             continue  # criterion applies only when non-negative bases exist
         n = len(diag.c) - 1
-        assert all(diag.eqprec_ok)  # exact polynomial identity for every k
         assert diag.c[0] == 0 and diag.d[n] == 0
         assert all(diag.c[k] > 0 for k in range(1, n + 1))
         assert all(diag.d[k] < 0 for k in range(n))

@@ -111,6 +111,28 @@ class TestExitCodes:
         assert done.stderr.startswith("error: ") and message in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("problem", [PROBLEM_CLASSICAL, PROBLEM_RANGE],
+                             ids=["exists", "node-out-of-range"])
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_operator_non_positive_tolerance_whatever_the_verdict(self, capsys, problem, tol):
+        assert cli.main(["operator", problem, "--tol", tol]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: tolerance must be positive, got {tol}\n"
+
+    @pytest.mark.parametrize("tol", ["1/0", "0"])
+    def test_operator_tolerance_refused_before_the_report(self, capsys, monkeypatch, tol):
+        def unreached(problem):
+            raise AssertionError("existence_report built for a refused --tol")
+        monkeypatch.setattr(cli, "existence_report", unreached)
+        assert cli.main(["operator", PROBLEM_CLASSICAL, "--tol", tol]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command, kind", [("basis", "space"), ("exists", "problem")])
+    def test_inline_json_array_refused_as_descriptor(self, capsys, command, kind):
+        assert cli.main([command, "[1,2]"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {kind} descriptor must be a JSON object, got [1, 2]\n")
+
     def test_corpus_clean(self, capsys):
         assert cli.main(["corpus"]) == 0
         out = capsys.readouterr().out

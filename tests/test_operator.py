@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bernstein_forge.operator as operator_module
 from bernstein_forge import (
     ArityMismatch,
     BadTolerance,
+    DerivedBasisUnavailable,
     F0NotPositive,
+    IdentityViolation,
+    NoBasisReport,
     OperatorProblem,
     Polynomial,
     RatioNotMonotone,
@@ -18,6 +22,7 @@ from bernstein_forge import (
     build_space,
     certify_monotone_ratio,
     certify_problem,
+    derived_space,
     evaluate_operator,
     existence_report,
     operator_combination,
@@ -152,22 +157,39 @@ class TestWCoefficients:
         # w expands (f1)' in the derived basis; check the expansion by
         # evaluating both sides at several rational points.
         prob = problem([0, 1, 2, 3], -1, 1, ONE, X3)
-        from bernstein_forge import derived_space
-
-        rep = derived_space(prob.space, ONE)
-        w, summary = w_coefficients(prob, rep)
+        derived = derived_space(prob.space, ONE)
+        w = w_coefficients(prob, derived)
         assert w == (3, -3, 3)
-        assert summary == W_HAS_NEGATIVE
         deriv = X3.derivative()
         for x in (Fraction(-1), Fraction(-1, 3), 0, Fraction(2, 5), 1):
             lhs = deriv(x)
-            rhs = sum(wk * q(x) for wk, q in zip(w, rep.basis.elements))
+            rhs = sum(wk * q(x) for wk, q in zip(w, derived.elements))
             assert lhs == rhs
 
     def test_all_positive_for_strict_classical(self):
-        w, summary = w_coefficients(problem([0, 1, 2], 0, 1, ONE, X))
-        assert summary == W_ALL_POSITIVE
+        prob = problem([0, 1, 2], 0, 1, ONE, X)
+        w = w_coefficients(prob, derived_space(prob.space, ONE))
         assert all(x > 0 for x in w)
+
+    def test_refused_derived_basis(self):
+        # span{1, x, x^3} on [-1, 1]: in the derived span{1, x^2} the one
+        # element vanishing at -1 is x^2 - 1, which vanishes at 1 as well.
+        prob = problem([0, 1, 3], -1, 1, ONE, X3)
+        derived = derived_space(prob.space, ONE)
+        assert isinstance(derived, NoBasisReport)
+        assert (derived.index, derived.kind, derived.endpoint) == (1, "forced-extra-zero", "b")
+        with pytest.raises(DerivedBasisUnavailable, match="derived basis refused"):
+            w_coefficients(prob, derived)
+
+    def test_signed_derived_basis(self):
+        # On [-1, 2] the same derived span has the signed basis
+        # (4 - x^2, x^2 - 1): no w in a basis of mixed sign.
+        prob = problem([0, 1, 3], -1, 2, ONE, X3)
+        derived = derived_space(prob.space, ONE)
+        assert [p.to_sparse() for p in derived.elements] == ["0:4,2:-1", "0:-1,2:1"]
+        assert derived.positivity == "signed"
+        with pytest.raises(DerivedBasisUnavailable, match="not non-negative"):
+            w_coefficients(prob, derived)
 
 
 class TestBuildOperator:
@@ -320,15 +342,32 @@ class TestStructuralDiagnostics:
             assert diag.c[0] == 0 and diag.d[n] == 0
             assert all(diag.c[k] > 0 for k in range(1, n + 1))
             assert all(diag.d[k] < 0 for k in range(n))
-            assert all(diag.eqprec_ok)
 
     def test_one_generator_space(self):
         # span{x^2} over f0 = x^2: the derived space is {0} and w is empty.
         x2 = Polynomial.monomial(2)
         diag = structural_diagnostics(problem([2], 1, 2, x2, x2.scale(3)))
         assert diag.w == ()
-        assert diag.derived.basis.elements == ()
-        assert diag.eqprec_ok == (True,)
+        assert diag.derived.elements == ()
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_reconstruction_mismatch_named(self, monkeypatch, k):
+        # Perturb the window solve of index k: the exact reconstruction
+        # check must refuse, naming that k.
+        solve = operator_module.coordinates
+        windows = []
+
+        def perturbed(f, basis):
+            vals = solve(f, basis)
+            if isinstance(basis, tuple):  # a window (Q_{k-1}, Q_k)
+                windows.append(basis)
+                if len(windows) == k + 1:
+                    return (vals[0] + 1,) + vals[1:]
+            return vals
+
+        monkeypatch.setattr(operator_module, "coordinates", perturbed)
+        with pytest.raises(IdentityViolation, match=f"mismatch at k={k}$"):
+            structural_diagnostics(problem([0, 1, 2, 3], 0, 1, ONE, X))
 
     def test_recurrence_all_pivots(self):
         diag = structural_diagnostics(problem([0, 1, 2, 3, 6], -1, 1, ONE, X3))
