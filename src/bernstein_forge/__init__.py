@@ -50,7 +50,7 @@ from .spaces import (
     normalize_when_possible,
 )
 from .sturm import (
-    RootEnclosure,
+    Enclosure,
     SignClassification,
     SturmChain,
     bisect_root,

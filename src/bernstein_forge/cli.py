@@ -155,10 +155,10 @@ def cmd_operator(args) -> int:
         else:
             loc = (f"[{format_decimal(enc.lo, digits)}, "
                    f"{format_decimal(enc.hi, digits)}]")
-        if isinstance(w, tuple):
-            weight = f"[{format_rational(w[0])}, {format_rational(w[1])}]"
+        if w.is_exact:
+            weight = format_rational(w.lo)
         else:
-            weight = format_rational(w)
+            weight = f"[{format_rational(w.lo)}, {format_rational(w.hi)}]"
         print(f"t{k} = {loc}   alpha{k} = {weight}", file=out)
     print(f"node order: {spec.node_order()}", file=out)
 

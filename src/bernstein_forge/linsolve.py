@@ -19,7 +19,6 @@ from .rational import as_rational, integer_form
 @dataclass(frozen=True)
 class LinearSolution:
     rank: int
-    pivot_cols: tuple
     particular: Optional[tuple]  # None when no rhs was given
     nullspace: tuple  # tuple of coordinate tuples, one per free column
 
@@ -97,4 +96,4 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Optional[Sequence] = None) -> 
         particular = back_sub({}, [im[i][n_cols] for i in range(rank)])
 
     nullspace = tuple(back_sub({f: 1}, None) for f in free_cols)
-    return LinearSolution(rank, tuple(pivot_cols), particular, nullspace)
+    return LinearSolution(rank, particular, nullspace)

@@ -41,7 +41,7 @@ from .spaces import (
 from .sturm import (
     NONNEG_INTERIOR_ZEROS,
     STRICTLY_POSITIVE,
-    RootEnclosure,
+    Enclosure,
     bisect_root,
     classify_on_interval,
     rational_root_in,
@@ -268,8 +268,8 @@ def _by_ratio(ratios) -> list:
 @dataclass(frozen=True)
 class OperatorSpec:
     report: ExistenceReport
-    nodes: tuple  # RootEnclosure per k
-    weights: tuple  # Fraction when the node is exact, else (lo, hi) pair
+    nodes: tuple  # Enclosure per k
+    weights: tuple  # Enclosure of beta_k / f0(t_k) per k
     tol: Fraction
 
     @property
@@ -287,15 +287,10 @@ class OperatorSpec:
         return "".join(parts)
 
     def to_json(self):
-        weights = []
-        for w in self.weights:
-            if isinstance(w, tuple):
-                weights.append({"lo": format_rational(w[0]), "hi": format_rational(w[1])})
-            else:
-                weights.append(format_rational(w))
         return {
             "nodes": [e.to_json() for e in self.nodes],
-            "weights": weights,
+            "weights": [format_rational(w.lo) if w.is_exact else w.to_json()
+                        for w in self.weights],
             "node_order": self.node_order(),
             "tol": format_rational(self.tol),
         }
@@ -307,9 +302,8 @@ def build_operator(report: ExistenceReport, tol=DEFAULT_TOL) -> OperatorSpec:
     Each node solves f1 - r_k f0 = 0 on [a, b]: certified bisection to
     width tol, then an exact test for a rational root in that enclosure, so
     rational nodes come back exact (width-0 enclosures) at any coefficient
-    size.  Weights are beta_k / f0(t_k), exact for rational nodes and
-    rigorous rational enclosures otherwise.  Raises BadTolerance unless
-    tol > 0.
+    size.  Weights are enclosures of beta_k / f0(t_k), exact for rational
+    nodes.  Raises BadTolerance unless tol > 0.
     """
     if report.verdict != VERDICT_EXISTS:
         raise ValueError(f"operator does not exist: verdict {report.verdict}")
@@ -318,13 +312,9 @@ def build_operator(report: ExistenceReport, tol=DEFAULT_TOL) -> OperatorSpec:
     a, b = problem.space.a, problem.space.b
     f0, f1, ratios = problem.f0, problem.f1, report.ratios
 
-    nodes = []
-    for r in ratios:
-        g = f1 - f0.scale(r)
-        # f1/f0 strictly increasing => g has one root in [a, b], a crossing
-        enc = bisect_root(g, a, b, tol)
-        root = rational_root_in(g, enc)
-        nodes.append(enc if root is None else RootEnclosure(root, root))
+    # f1/f0 strictly increasing => each g_k has one root in [a, b], a crossing
+    gs = [f1 - f0.scale(r) for r in ratios]
+    nodes = [rational_root_in(g, bisect_root(g, a, b, tol)) for g in gs]
 
     # Distinct ratios must yield separated enclosures at this tolerance.  As
     # f1/f0 is strictly increasing, exact nodes of distinct ratios are
@@ -336,18 +326,16 @@ def build_operator(report: ExistenceReport, tol=DEFAULT_TOL) -> OperatorSpec:
                 f"enclosures for t{i} and t{j} overlap at tol {format_rational(tol)}"
             )
 
-    # The bound of f0 over an exact node is its exact, positive value.
+    # The bound of f0 over an exact node is its exact, positive value, so
+    # the weight is exact; so is every weight when f0 is constant (f0 = 1).
     weights = []
     for k, enc in enumerate(nodes):
         f_lo, f_hi = _interval_eval(f0, enc.lo, enc.hi)
         while f_lo <= 0:  # f0 > 0 on [a,b]; refine until the bound shows it
-            enc = bisect_root(f1 - f0.scale(ratios[k]), enc.lo, enc.hi, enc.width / 4)
+            enc = bisect_root(gs[k], enc.lo, enc.hi, enc.width / 4)
             f_lo, f_hi = _interval_eval(f0, enc.lo, enc.hi)
         nodes[k] = enc
-        if f_lo == f_hi:  # exact node, or f0 constant over the enclosure (e.g. f0 = 1)
-            weights.append(report.beta[k] / f_lo)
-        else:
-            weights.append((report.beta[k] / f_hi, report.beta[k] / f_lo))
+        weights.append(Enclosure(report.beta[k] / f_hi, report.beta[k] / f_lo))
 
     return OperatorSpec(report=report, nodes=tuple(nodes), weights=tuple(weights), tol=tol)
 
@@ -360,33 +348,31 @@ def _check_arity(spec: OperatorSpec, samples):
 def operator_combination(spec: OperatorSpec, samples) -> Polynomial:
     """The element sum(samples_k * alpha_k * p_k) as an exact polynomial.
 
-    Requires exact rational weights (all nodes rational).
+    Requires exact weights: every node rational, or f0 constant.
     """
     _check_arity(spec, samples)
-    if any(isinstance(w, tuple) for w in spec.weights):
+    if not all(w.is_exact for w in spec.weights):
         raise ValueError("operator has enclosure weights; no exact combination")
     out = Polynomial.zero()
     for s, w, p in zip(samples, spec.weights, spec.basis.elements):
-        out = out + p.scale(as_rational(s) * w)
+        out = out + p.scale(as_rational(s) * w.lo)
     return out
 
 
-def evaluate_operator(spec: OperatorSpec, samples, x):
+def evaluate_operator(spec: OperatorSpec, samples, x) -> Enclosure:
     """Evaluate the operator at x for caller-supplied sample values.
 
-    Returns an exact Fraction when all weights are rational, otherwise a
-    rigorous (lo, hi) rational enclosure.
+    Returns a rigorous rational enclosure, exact when every weight is.
     """
     _check_arity(spec, samples)
     x = as_rational(x)
     lo_t = hi_t = Fraction(0)
     for s, w, p in zip(samples, spec.weights, spec.basis.elements):
-        w_lo, w_hi = w if isinstance(w, tuple) else (w, w)
         sp = as_rational(s) * p(x)
-        vals = (sp * w_lo, sp * w_hi)
+        vals = (sp * w.lo, sp * w.hi)
         lo_t += min(vals)
         hi_t += max(vals)
-    return (lo_t, hi_t) if any(isinstance(w, tuple) for w in spec.weights) else lo_t
+    return Enclosure(lo_t, hi_t)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import BadTolerance, NoBracket, ZeroPolynomial
 from .polynomial import Polynomial
@@ -55,33 +54,8 @@ class SampleWitness:
 
 
 @dataclass(frozen=True)
-class RootIntervalWitness:
-    lo: Fraction
-    hi: Fraction
-
-    def to_json(self):
-        return {
-            "kind": "root-interval",
-            "lo": format_rational(self.lo),
-            "hi": format_rational(self.hi),
-        }
-
-
-@dataclass(frozen=True)
-class SignClassification:
-    verdict: str
-    witnesses: tuple
-
-    def to_json(self):
-        return {
-            "verdict": self.verdict,
-            "witnesses": [w.to_json() for w in self.witnesses],
-        }
-
-
-@dataclass(frozen=True)
-class RootEnclosure:
-    """Rational bracket around a root; lo == hi marks an exact rational root."""
+class Enclosure:
+    """Rational interval [lo, hi]; lo == hi marks an exact rational."""
 
     lo: Fraction
     hi: Fraction
@@ -99,6 +73,23 @@ class RootEnclosure:
 
     def to_json(self):
         return {"lo": format_rational(self.lo), "hi": format_rational(self.hi)}
+
+
+@dataclass(frozen=True)
+class SignClassification:
+    """A verdict with its witnesses: exact sign samples and the enclosures
+    of the interior roots."""
+
+    verdict: str
+    samples: tuple  # SampleWitness per sample point
+    roots: tuple  # Enclosure per distinct interior root
+
+    def to_json(self):
+        return {
+            "verdict": self.verdict,
+            "witnesses": [w.to_json() for w in self.samples]
+            + [{"kind": "root-interval", **e.to_json()} for e in self.roots],
+        }
 
 
 def sturm_chain(p: Polynomial) -> SturmChain:
@@ -153,7 +144,7 @@ def sturm_count(
 def isolate_roots(p: Polynomial, a, b) -> list:
     """Disjoint enclosures for the distinct roots of p in the open (a, b).
 
-    Each element is a RootEnclosure; exact rational roots come back with
+    Each element is an Enclosure; exact rational roots come back with
     zero width, every other enclosure has non-root endpoints and contains
     exactly one distinct root.
     """
@@ -171,11 +162,11 @@ def isolate_roots(p: Polynomial, a, b) -> list:
         if k == 0:
             continue
         if k == 1 and sf.sign_at(lo) != 0 and sf.sign_at(hi) != 0:
-            out.append(RootEnclosure(lo, hi))
+            out.append(Enclosure(lo, hi))
             continue
         mid = (lo + hi) / 2
         if sf.sign_at(mid) == 0:
-            out.append(RootEnclosure(mid, mid))
+            out.append(Enclosure(mid, mid))
         stack.append((lo, mid, chain.open_count(lo, mid)))
         stack.append((mid, hi, chain.open_count(mid, hi)))
     out.sort(key=lambda e: e.lo)
@@ -193,14 +184,14 @@ def classify_on_interval(p: Polynomial, a, b) -> SignClassification:
     if not a < b:
         raise ValueError("need a < b")
     if p.is_zero:
-        return SignClassification(IDENTICALLY_ZERO, (SampleWitness((a + b) / 2, 0),))
+        return SignClassification(IDENTICALLY_ZERO, (SampleWitness((a + b) / 2, 0),), ())
 
     enclosures = isolate_roots(p, a, b)
     if not enclosures:
         m = (a + b) / 2
         s = p.sign_at(m)
         verdict = STRICTLY_POSITIVE if s > 0 else STRICTLY_NEGATIVE
-        return SignClassification(verdict, (SampleWitness(m, s),))
+        return SignClassification(verdict, (SampleWitness(m, s),), ())
 
     # Sample points strictly between consecutive root regions.  Shared
     # enclosure endpoints are themselves non-roots and usable directly.
@@ -215,15 +206,14 @@ def classify_on_interval(p: Polynomial, a, b) -> SignClassification:
         cursor = enc.hi
     points.append(b if cursor == b else (cursor + b) / 2)
 
-    witnesses = []
+    samples = []
     signs = set()
     for x in points:
         s = p.sign_at(x)
         if s == 0:  # only possible at the closed-boundary samples a or b
             continue
         signs.add(s)
-        witnesses.append(SampleWitness(x, s))
-    witnesses.extend(RootIntervalWitness(e.lo, e.hi) for e in enclosures)
+        samples.append(SampleWitness(x, s))
 
     if signs == {1}:
         verdict = NONNEG_INTERIOR_ZEROS
@@ -231,11 +221,11 @@ def classify_on_interval(p: Polynomial, a, b) -> SignClassification:
         verdict = NONPOS_INTERIOR_ZEROS
     else:
         verdict = SIGN_CHANGING
-    return SignClassification(verdict, tuple(witnesses))
+    return SignClassification(verdict, tuple(samples), tuple(enclosures))
 
 
-def rational_root_in(p: Polynomial, enc: RootEnclosure) -> Optional[Fraction]:
-    """The root of p in enc when it is rational, else None.
+def rational_root_in(p: Polynomial, enc: Enclosure) -> Enclosure:
+    """enc narrowed to the root of p in it when that root is rational, else enc.
 
     enc is exact or brackets a sign change of p around its only root, as
     `bisect_root` and `isolate_roots` return them (the latter for the
@@ -246,18 +236,18 @@ def rational_root_in(p: Polynomial, enc: RootEnclosure) -> Optional[Fraction]:
     nearest its midpoint with denominator at most N, tested exactly.
     """
     if enc.is_exact:
-        return enc.lo
+        return enc
     n = int(abs(p.primitive().leading))
     fine = bisect_root(p, enc.lo, enc.hi, Fraction(1, 2 * n * n))
     if fine.is_exact:
-        return fine.lo
+        return fine
     candidate = fine.midpoint().limit_denominator(n)
     if fine.lo < candidate < fine.hi and p.sign_at(candidate) == 0:
-        return candidate
-    return None
+        return Enclosure(candidate, candidate)
+    return enc
 
 
-def bisect_root(p: Polynomial, lo, hi, tol) -> RootEnclosure:
+def bisect_root(p: Polynomial, lo, hi, tol) -> Enclosure:
     """Certified bisection enclosure of width <= tol for a sign change of p.
 
     Endpoint roots and exact midpoint hits come back with zero width.
@@ -270,9 +260,9 @@ def bisect_root(p: Polynomial, lo, hi, tol) -> RootEnclosure:
         raise BadTolerance(f"tolerance must be positive, got {format_rational(tol)}")
     s_lo, s_hi = p.sign_at(lo), p.sign_at(hi)
     if s_lo == 0:
-        return RootEnclosure(lo, lo)
+        return Enclosure(lo, lo)
     if s_hi == 0:
-        return RootEnclosure(hi, hi)
+        return Enclosure(hi, hi)
     if s_lo == s_hi:
         raise NoBracket(
             f"p({format_rational(lo)}) and p({format_rational(hi)}) have equal sign"
@@ -281,9 +271,9 @@ def bisect_root(p: Polynomial, lo, hi, tol) -> RootEnclosure:
         mid = (lo + hi) / 2
         s = p.sign_at(mid)
         if s == 0:
-            return RootEnclosure(mid, mid)
+            return Enclosure(mid, mid)
         if s == s_lo:
             lo = mid
         else:
             hi = mid
-    return RootEnclosure(lo, hi)
+    return Enclosure(lo, hi)

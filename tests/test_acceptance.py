@@ -10,6 +10,7 @@ from math import comb
 
 from bernstein_forge import (
     DerivedBasisUnavailable,
+    Enclosure,
     NoBasisReport,
     OperatorProblem,
     Polynomial,
@@ -81,7 +82,7 @@ def test_criterion_01_two_dim_cubic_span():
         existence_report(OperatorProblem(build_space([0, 3], -1, 1), ONE, X3))
     )
     assert [(e.lo, e.hi) for e in spec.nodes] == [(-1, -1), (1, 1)]
-    assert spec.weights == (1, 1)
+    assert spec.weights == (Enclosure(1, 1),) * 2
     ok(1, "2-dim cubic span: basis, coordinates (-1, 1), endpoint nodes, unit weights")
 
 
@@ -201,7 +202,7 @@ def test_criterion_08_classical_recovery():
             )
             assert all(e.is_exact for e in spec.nodes)
             assert [e.lo for e in spec.nodes] == [a + (b - a) * Fraction(k, n) for k in range(n + 1)]
-            assert spec.weights == tuple([1] * (n + 1))
+            assert spec.weights == (Enclosure(1, 1),) * (n + 1)
     ok(8, "classical binomial bases and equispaced unit-weight operators, 20 intervals x n<=5")
 
 
@@ -287,6 +288,6 @@ def test_criterion_11_positivity_oracle():
     for p, a, b in sign_changing:
         cls = classify_on_interval(p, a, b)
         assert cls.verdict == "sign-changing"
-        negatives = [w for w in cls.witnesses if getattr(w, "sign", 0) < 0]
+        negatives = [w for w in cls.samples if w.sign < 0]
         assert negatives and all(p(w.x) < 0 for w in negatives)
     ok(11, "1000-point sampling agrees with certificates; negative witnesses verified")

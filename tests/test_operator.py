@@ -11,6 +11,7 @@ from bernstein_forge import (
     ArityMismatch,
     BadTolerance,
     DerivedBasisUnavailable,
+    Enclosure,
     F0NotPositive,
     IdentityViolation,
     NoBasisReport,
@@ -56,6 +57,14 @@ def full_space(n, a, b):
 
 def problem(exponents, a, b, f0, f1):
     return OperatorProblem(build_space(exponents, a, b), f0, f1)
+
+
+# The full cubic on [99, 101] with f0 = x^2 - 200x + 10002 = (x - 100)^2 + 2
+# and f1 = x f0 + x^2/10000: the operator exists, and at tol 1/8 the
+# interval bound of f0 over the enclosures of t1 and t2 is not positive.
+F0_NEAR_ZERO = Polynomial.from_sparse("0:10002,1:-200,2:1")
+REFINED = problem([0, 1, 2, 3], 99, 101, F0_NEAR_ZERO,
+                  X * F0_NEAR_ZERO + Polynomial.from_sparse("2:1/10000"))
 
 
 class TestCertification:
@@ -198,7 +207,7 @@ class TestBuildOperator:
         spec = build_operator(report)
         assert all(e.is_exact for e in spec.nodes)
         assert [e.lo for e in spec.nodes] == [0, Fraction(1, 3), Fraction(2, 3), 1]
-        assert spec.weights == (1, 1, 1, 1)
+        assert spec.weights == (Enclosure(1, 1),) * 4
         assert spec.node_order() == "t0 < t1 < t2 < t3"
 
     def test_cubics_symmetric_nodes_collapse(self):
@@ -219,7 +228,7 @@ class TestBuildOperator:
         for e in spec.nodes:
             assert e.width <= DEFAULT_TOL
         # f0 = 1 and the basis is normalized, so every weight is exactly 1.
-        assert spec.weights == (1, 1, 1, 1, 1)
+        assert spec.weights == (Enclosure(1, 1),) * 5
 
     def test_endpoint_nodes_always_exact(self):
         for exps, a, b, f1 in (
@@ -249,7 +258,18 @@ class TestBuildOperator:
         rep = existence_report(problem([0, 1, 2], s * s, t * t, ONE, Polynomial.monomial(2)))
         spec = build_operator(rep)
         assert [(e.lo, e.hi) for e in spec.nodes] == [(s * s, s * s), (s * t, s * t), (t * t, t * t)]
-        assert spec.weights == (1, 1, 1)
+        assert spec.weights == (Enclosure(1, 1),) * 3
+
+    def test_weight_refinement_narrows_nodes(self):
+        tol = Fraction(1, 8)
+        report = existence_report(REFINED)
+        spec = build_operator(report, tol)
+        assert spec.nodes[1].width < tol and spec.nodes[2].width < tol
+        for k, (e, w) in enumerate(zip(spec.nodes, spec.weights)):
+            assert 0 < w.lo <= w.hi
+            for x in (e.lo, e.hi):
+                assert w.lo <= report.beta[k] / F0_NEAR_ZERO(x) <= w.hi
+        assert not spec.weights[1].is_exact and not spec.weights[2].is_exact
 
     def test_rejects_nonexistent(self):
         report = existence_report(problem([0, 1, 2, 3], -1, 2, ONE, X3))
@@ -295,7 +315,8 @@ class TestApplication:
         samples = [Fraction(1, 1 + k) for k in range(4)]
         combo = operator_combination(spec, samples)
         for x in (0, Fraction(1, 7), Fraction(1, 2), 1):
-            assert evaluate_operator(spec, samples, x) == combo(x)
+            got = evaluate_operator(spec, samples, x)
+            assert got.is_exact and got.lo == combo(x)
 
     def test_enclosure_node_residual_bound(self):
         # Nodes of the gap space are irrational; sampling f1 at enclosure
@@ -307,7 +328,13 @@ class TestApplication:
         for i in range(21):
             x = Fraction(-1) + Fraction(i, 10)
             got = evaluate_operator(spec, samples, x)
-            assert abs(got - X3(x)) <= budget
+            assert got.is_exact and abs(got.lo - X3(x)) <= budget
+
+    def test_inexact_weights(self):
+        spec = build_operator(existence_report(REFINED), Fraction(1, 8))
+        with pytest.raises(ValueError, match="enclosure weights"):
+            operator_combination(spec, [1, 1, 1, 1])
+        assert not evaluate_operator(spec, [1, 1, 1, 1], 100).is_exact
 
     def test_arity_mismatch(self):
         spec = build_operator(existence_report(problem([0, 3], -1, 1, ONE, X3)))

@@ -13,6 +13,7 @@ from bernstein_forge import (
     BernsteinBasis,
     ConstantNotInSpace,
     NoBasisReport,
+    NonPositiveScalar,
     NotInSpace,
     Polynomial,
     basis_from_generators,
@@ -175,6 +176,12 @@ class TestNormalization:
     def test_constant_not_in_space(self):
         basis = bernstein_basis(build_space([1, 2], 1, 2))
         with pytest.raises(ConstantNotInSpace):
+            normalize_partition_of_unity(basis)
+
+    def test_signed_basis_refused(self):
+        basis = bernstein_basis(build_space([0, 1, 3], -1, 1))
+        assert basis.positivity == "signed"
+        with pytest.raises(NonPositiveScalar, match="cannot normalize a signed basis"):
             normalize_partition_of_unity(basis)
 
 

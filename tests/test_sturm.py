@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bernstein_forge import (
     BadTolerance,
+    Enclosure,
     NoBracket,
     Polynomial,
     ZeroPolynomial,
@@ -176,7 +177,7 @@ class TestClassify:
     def test_sign_changing_cubic(self):
         cls = classify_on_interval(Polynomial.from_sparse("1:1,3:-1"), -1, 1)
         assert cls.verdict == "sign-changing"
-        negative = [w for w in cls.witnesses if getattr(w, "sign", 0) < 0]
+        negative = [w for w in cls.samples if w.sign < 0]
         assert negative and all(
             Polynomial.from_sparse("1:1,3:-1")(w.x) < 0 for w in negative
         )
@@ -202,6 +203,24 @@ class TestClassify:
         payload = cls.to_json()
         assert payload["verdict"] == "sign-changing"
         assert all(w["kind"] in ("sample", "root-interval") for w in payload["witnesses"])
+
+    @pytest.mark.parametrize("sparse, verdict, witnesses", [
+        ("2:-1", "non-positive-with-interior-zeros", [
+            {"kind": "sample", "x": "-1", "sign": -1},
+            {"kind": "sample", "x": "1", "sign": -1},
+            {"kind": "root-interval", "lo": "-1", "hi": "1"},
+        ]),
+        ("1:-1/2,2:1", "sign-changing", [  # exact roots 0 and 1/2
+            {"kind": "sample", "x": "-1/2", "sign": 1},
+            {"kind": "sample", "x": "1/4", "sign": -1},
+            {"kind": "sample", "x": "3/4", "sign": 1},
+            {"kind": "root-interval", "lo": "0", "hi": "0"},
+            {"kind": "root-interval", "lo": "1/2", "hi": "1/2"},
+        ]),
+    ])
+    def test_witness_bytes(self, sparse, verdict, witnesses):
+        cls = classify_on_interval(Polynomial.from_sparse(sparse), -1, 1)
+        assert cls.to_json() == {"verdict": verdict, "witnesses": witnesses}
 
     @given(
         st.lists(
@@ -277,16 +296,21 @@ class TestNodeRecovery:
     def test_rational_node_comes_back_exact(self, r, factor, scale, tol):
         p = (linear(r) * factor).scale(scale)
         enc = bisect_root(p, -2, 2, tol)
-        assert rational_root_in(p, enc) == r
+        assert rational_root_in(p, enc) == Enclosure(r, r)
 
     @given(st.integers(min_value=2, max_value=10**9).filter(lambda m: isqrt(m) ** 2 != m),
            st.sampled_from([Fraction(1, 10), Fraction(1, 10**30)]))
     @settings(max_examples=40, deadline=None)
-    def test_irrational_node_gives_none(self, m, tol):
+    def test_irrational_node_keeps_enclosure(self, m, tol):
         p = Polynomial([-m, 0, 1])  # root sqrt(m), irrational
         enc = bisect_root(p, 0, m, tol)
         assert not enc.is_exact
-        assert rational_root_in(p, enc) is None
+        assert rational_root_in(p, enc) == enc
+
+    def test_exact_midpoint_hit(self):
+        # The fine bisection of [0, 1] lands on 1/2 at its first midpoint.
+        half = Enclosure(Fraction(1, 2), Fraction(1, 2))
+        assert rational_root_in(Polynomial.from_sparse("0:-1,1:2"), Enclosure(0, 1)) == half
 
 
 class TestIsolation:
