@@ -7,6 +7,7 @@ from .errors import (
     BadTolerance,
     BernsteinForgeError,
     ConstantNotInSpace,
+    DegreeTooLarge,
     DerivedBasisUnavailable,
     F0NotPositive,
     IdentityViolation,
@@ -35,7 +36,7 @@ from .operator import (
     structural_diagnostics,
     w_coefficients,
 )
-from .polynomial import Polynomial
+from .polynomial import MAX_DEGREE, Polynomial
 from .rational import as_rational, format_decimal, format_rational
 from .spaces import (
     BernsteinBasis,

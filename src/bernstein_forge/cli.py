@@ -6,9 +6,9 @@ Exit codes are a stable contract:
 
     0  success (basis found / operator exists / corpus clean)
     1  a usage error, malformed input (including fields of the wrong
-       type), an unwritable `--json` path, a failed internal check, or for
-       `operator` a negative `--samples`, a non-positive `--tol` or one too
-       loose to separate the nodes
+       type and degrees above MAX_DEGREE), an unwritable `--json` path, a
+       failed internal check, or for `operator` a negative `--samples`, a
+       non-positive `--tol` or one too loose to separate the nodes
     2  no Bernstein basis (`basis`)
     3  operator does not exist (`exists`, `operator`)
     4  problem hypotheses failed certification
@@ -31,7 +31,13 @@ from .operator import (
     existence_report,
 )
 from .corpus import run_corpus
-from .rational import as_rational, format_decimal, format_rational, read_integer
+from .rational import (
+    as_rational,
+    format_decimal,
+    format_quotient,
+    format_rational,
+    read_integer,
+)
 from .spaces import MonomialSpace, NoBasisReport, bernstein_basis, normalize_when_possible
 
 PRECISION_ENV = "BERNSTEIN_FORGE_PRECISION"
@@ -178,7 +184,7 @@ def _emit_samples_csv(spec, count: int, digits: int):
     for i in range(count):
         x = a + (b - a) * Fraction(i, steps)
         row = [format_decimal(x, digits)]
-        row.extend(format_decimal(p(x), digits) for p in spec.basis.elements)
+        row.extend(format_quotient(*p.ratio_at(x), digits) for p in spec.basis.elements)
         print(",".join(row))
 
 

@@ -25,6 +25,10 @@ class BadExponents(BernsteinForgeError):
     """Exponent list is not strictly increasing and non-negative."""
 
 
+class DegreeTooLarge(BernsteinForgeError):
+    """An exponent or polynomial degree is above polynomial.MAX_DEGREE."""
+
+
 class BadInterval(BernsteinForgeError):
     """Interval endpoints do not satisfy a < b."""
 

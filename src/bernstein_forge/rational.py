@@ -92,11 +92,20 @@ def format_decimal(q: Fraction, digits: int) -> str:
     rendering is deterministic and never passes through floats.
     """
     q = as_rational(q)
-    neg = q < 0
-    q = -q if neg else q
+    return format_quotient(q.numerator, q.denominator, digits)
+
+
+def format_quotient(num: int, den: int, digits: int) -> str:
+    """`format_decimal` of num / den for integers num and den > 0.
+
+    The pair need not be reduced: the floor of num * 10^digits / den and
+    the half-up test 2 * rem >= den both read the same for (g num, g den).
+    """
+    neg = num < 0
+    num = -num if neg else num
     scale = 10 ** digits
-    scaled, rem = divmod(q.numerator * scale, q.denominator)
-    if 2 * rem >= q.denominator:
+    scaled, rem = divmod(num * scale, den)
+    if 2 * rem >= den:
         scaled += 1
     whole, frac = divmod(scaled, scale)
     try:

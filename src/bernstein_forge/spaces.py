@@ -23,7 +23,7 @@ from .errors import (
     NotInSpace,
 )
 from .linsolve import solve_linear
-from .polynomial import Polynomial
+from .polynomial import Polynomial, check_degree
 from .rational import as_rational, format_rational, sign
 from .sturm import (
     NONNEG_INTERIOR_ZEROS,
@@ -86,7 +86,10 @@ def descriptor_fields(obj, kind: str, keys: tuple) -> list:
 
 
 def build_space(exponents, a, b) -> MonomialSpace:
-    """The span of x^e over [a, b]; exponents are ints, a and b exact rationals."""
+    """The span of x^e over [a, b]; exponents are ints, a and b exact rationals.
+
+    A top exponent above polynomial.MAX_DEGREE is refused by DegreeTooLarge.
+    """
     if not isinstance(exponents, (list, tuple, range)) or not all(
         isinstance(e, int) and not isinstance(e, bool) for e in exponents
     ):
@@ -96,6 +99,7 @@ def build_space(exponents, a, b) -> MonomialSpace:
         x >= y for x, y in zip(exps, exps[1:])
     ):
         raise BadExponents(f"exponents must be non-negative, strictly increasing: {exps}")
+    check_degree(exps[-1], "top exponent")
     try:
         a, b = as_rational(a), as_rational(b)
     except TypeError as exc:

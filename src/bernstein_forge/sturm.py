@@ -1,9 +1,11 @@
 """Certified root counting, sign classification, and bisection enclosures.
 
-Everything here runs over exact rationals: Sturm chains give exact counts
-of distinct real roots, classifications carry checkable witnesses, and
-bisection midpoint signs never see a float.  Every test that needs only a
-sign uses `Polynomial.sign_at`, which builds no Fraction.
+Everything here runs over exact rationals: a sign verdict rests on a
+Descartes certificate (no root in the interval, from sign variations and
+endpoint root orders) or else on a Sturm chain's exact counts of distinct
+real roots; classifications carry checkable witnesses, and bisection
+midpoint signs never see a float.  Every test that needs only a sign uses
+`Polynomial.sign_at`, which builds no Fraction.
 """
 
 from __future__ import annotations
@@ -173,12 +175,39 @@ def isolate_roots(p: Polynomial, a, b) -> list:
     return out
 
 
+def descartes_root_free(p: Polynomial, a, b) -> bool:
+    """True when Descartes' rule of signs proves p has no root in (a, b).
+
+    For 0 <= a < b, p has at most V roots in (0, inf), counted with
+    multiplicity, where V is the number of sign variations of its
+    coefficients.  The roots at b, and at a when a > 0, are among them, so
+    once their orders add up to V none is left for (a, b).  A root at 0 is
+    not positive and is not counted.  For a < b <= 0 the same holds for
+    p(-x) on [-b, -a], whose coefficients flip sign at odd degrees and
+    whose root orders at -b and -a are those of p at b and a.  An interval
+    with 0 inside, a count short of V, or the zero polynomial proves
+    nothing: False.
+    """
+    if p.is_zero or a < 0 < b:
+        return False
+    mirrored = b <= 0
+    signs = [(c > 0) != (mirrored and i % 2 == 1) for i, c in enumerate(p.coeffs) if c]
+    budget = sum(s != t for s, t in zip(signs, signs[1:]))
+    for end in (a, b):
+        if end != 0 and budget > 0:
+            budget -= p.root_order(end, budget)
+    return budget <= 0
+
+
 def classify_on_interval(p: Polynomial, a, b) -> SignClassification:
     """Sign behavior of p on the open interval (a, b), with witnesses.
 
-    Interior zeros are isolated first; exact sign samples between the root
-    regions decide the verdict, which distinguishes strict positivity from
-    non-negativity with interior zeros (even-multiplicity roots).
+    When `descartes_root_free` certifies that (a, b) holds no root, one
+    exact sample at the midpoint decides the verdict.  Otherwise interior
+    zeros are isolated by a Sturm chain; exact sign samples between the
+    root regions decide the verdict, which distinguishes strict positivity
+    from non-negativity with interior zeros (even-multiplicity roots).
+    Both certificates give the same verdict and witnesses.
     """
     a, b = as_rational(a), as_rational(b)
     if not a < b:
@@ -186,7 +215,7 @@ def classify_on_interval(p: Polynomial, a, b) -> SignClassification:
     if p.is_zero:
         return SignClassification(IDENTICALLY_ZERO, (SampleWitness((a + b) / 2, 0),), ())
 
-    enclosures = isolate_roots(p, a, b)
+    enclosures = [] if descartes_root_free(p, a, b) else isolate_roots(p, a, b)
     if not enclosures:
         m = (a + b) / 2
         s = p.sign_at(m)

@@ -1,13 +1,14 @@
 import copy
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from bernstein_forge import IdentityViolation, cli, spaces
+from bernstein_forge import MAX_DEGREE, IdentityViolation, cli, spaces
 from bernstein_forge.corpus import CASES, run_corpus
 
 SPACE_E1 = json.dumps({"exponents": [0, 3], "a": "-1", "b": "1"})
@@ -298,6 +299,35 @@ class TestRefusals:
         monkeypatch.setattr(spaces, "normalize_partition_of_unity", broken)
         assert cli.main(["basis", SPACE_E1]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestSizeContract:
+    """A degree above MAX_DEGREE is refused before any dense storage."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["basis", '{"exponents": [0, 1000000000], "a": "1", "b": "2"}'],
+         "top exponent 1000000000"),
+        (["exists", '{"space": {"exponents": [0, 1], "a": "1", "b": "2"}, '
+                    '"f0": "0:1", "f1": "1000000000:1"}'],
+         "sparse degree 1000000000"),
+    ], ids=["exponent", "sparse-degree"])
+    def test_refused_under_600_mb(self, argv, named):
+        # Its own process with RLIMIT_AS at 600 MB: the refusal must come
+        # before a dense coefficient list of a billion entries is asked for.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "bernstein_forge.cli", *argv],
+                              capture_output=True, text=True, timeout=60, env=env,
+                              preexec_fn=limit)
+        assert done.returncode == 1
+        assert done.stderr == f"error: {named} is above the maximum degree {MAX_DEGREE}\n"
+
+    def test_cap_itself_accepted(self, capsys):
+        space = json.dumps({"exponents": [0, MAX_DEGREE], "a": "1", "b": "2"})
+        assert cli.main(["basis", space]) == 0
+        assert "grade     normalized" in capsys.readouterr().out
 
 
 class TestUsageErrors:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernstein_forge import NonExactDivision, Polynomial
+from bernstein_forge import MAX_DEGREE, DegreeTooLarge, NonExactDivision, Polynomial
 from bernstein_forge.rational import sign
 
 
@@ -98,6 +98,27 @@ class TestIntegerKernel:
         assert isinstance(value, Fraction) and value == Fraction(17, 2)
 
 
+class TestRootOrder:
+    @given(wide_polys, rationals, st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_planted_order(self, q, r, k):
+        # Order k planted at r, plus whatever order q itself has there.
+        p = q
+        for _ in range(k):
+            p = p * (Polynomial.monomial(1) - Polynomial([r]))
+        extra = 0
+        while not q.is_zero and q.sign_at(r) == 0:
+            q, extra = q.derivative(), extra + 1
+        expected = 9 if q.is_zero else min(k + extra, 9)
+        assert p.root_order(r, 9) == expected
+
+    def test_count_stops_at_the_limit(self):
+        p = Polynomial.monomial(5)
+        assert p.root_order(0, 3) == 3
+        assert p.root_order(0, 6) == 5
+        assert p.root_order(1, 6) == 0
+
+
 class TestDerivative:
     def test_power_rule(self):
         assert Polynomial.monomial(3).derivative() == Polynomial.from_sparse("2:3")
@@ -170,6 +191,11 @@ class TestRepresentation:
             Polynomial.from_sparse(text)
         assert named in str(info.value)
         assert "set_int_max_str_digits" not in str(info.value)
+
+    def test_degree_cap(self):
+        assert Polynomial.from_sparse(f"{MAX_DEGREE}:1").degree == MAX_DEGREE
+        with pytest.raises(DegreeTooLarge, match=f"sparse degree {MAX_DEGREE + 1} "):
+            Polynomial.from_sparse(f"0:1,{MAX_DEGREE + 1}:1")
 
     def test_primitive_clears_denominators(self):
         p = Polynomial.from_sparse("0:1/2,1:3/4")

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bernstein_forge import as_rational, format_decimal, format_rational
+from bernstein_forge.rational import format_quotient
 
 
 class TestRationalText:
@@ -45,3 +48,15 @@ class TestLongIntegers:
         assert format_decimal(Fraction(-10 ** 5000), 0) == "-1" + "0" * 5000
         assert format_decimal(Fraction(1, 3), 5000) == "0." + "3" * 5000
         assert format_decimal(Fraction(-1, 10 ** 5000), 5000) == "-0." + "0" * 4999 + "1"
+
+
+class TestFormatQuotient:
+    @given(st.fractions(max_denominator=10**6), st.integers(1, 10**9), st.integers(0, 20))
+    def test_unreduced_pair_renders_like_the_fraction(self, q, g, digits):
+        assert format_quotient(g * q.numerator, g * q.denominator, digits) == format_decimal(q, digits)
+
+    @pytest.mark.parametrize("num, den, text", [
+        (5, 10, "0.5"), (-10, 20, "-0.5"), (1, 20, "0.1"), (-2, 40, "-0.1"), (-1, 40, "0.0"),
+    ])
+    def test_half_up_on_unreduced_pairs(self, num, den, text):
+        assert format_quotient(num, den, 1) == text

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernstein_forge import (
+    MAX_DEGREE,
     BadExponents,
     BadInterval,
     BernsteinBasis,
     ConstantNotInSpace,
+    DegreeTooLarge,
     NoBasisReport,
     NonPositiveScalar,
     NotInSpace,
@@ -60,6 +62,11 @@ class TestBuildSpace:
             build_space([0, 0, 1], -1, 1)
         with pytest.raises(BadInterval):
             build_space([0, 1], 1, 1)
+
+    def test_top_exponent_cap(self):
+        assert build_space([0, MAX_DEGREE], 1, 2).order == 1
+        with pytest.raises(DegreeTooLarge, match=f"top exponent {10**9} "):
+            build_space([0, 10**9], 1, 2)
 
     @pytest.mark.parametrize("exponents", [3, "01", [0, 1.5], [0, True], [0, "1"]])
     def test_exponents_must_be_integers(self, exponents):
