@@ -9,6 +9,7 @@ from .errors import (
     ConstantNotInSpace,
     DegreeTooLarge,
     DerivedBasisUnavailable,
+    DimensionTooLarge,
     F0NotPositive,
     IdentityViolation,
     InconsistentSystem,
@@ -39,6 +40,7 @@ from .operator import (
 from .polynomial import MAX_DEGREE, Polynomial
 from .rational import as_rational, format_decimal, format_rational
 from .spaces import (
+    MAX_DIMENSION,
     BernsteinBasis,
     MonomialSpace,
     NoBasisReport,

@@ -5,10 +5,11 @@ JSON, inline or by file path; all rationals travel as exact "p/q" text.
 Exit codes are a stable contract:
 
     0  success (basis found / operator exists / corpus clean)
-    1  a usage error, malformed input (including fields of the wrong
-       type and degrees above MAX_DEGREE), an unwritable `--json` path, a
-       failed internal check, or for `operator` a negative `--samples`, a
-       non-positive `--tol` or one too loose to separate the nodes
+    1  a usage error, malformed input (including fields of the wrong type,
+       degrees above MAX_DEGREE and dimensions above MAX_DIMENSION), an
+       unwritable `--json` path, a failed internal check, or for `operator`
+       a negative `--samples`, a non-positive `--tol` or one too loose to
+       separate the nodes, or a PRECISION_ENV that is not a positive integer
     2  no Bernstein basis (`basis`)
     3  operator does not exist (`exists`, `operator`)
     4  problem hypotheses failed certification
@@ -44,10 +45,11 @@ PRECISION_ENV = "BERNSTEIN_FORGE_PRECISION"
 
 
 def _precision() -> int:
-    try:
-        return max(1, int(os.environ.get(PRECISION_ENV, "12")))
-    except ValueError:
-        return 12
+    text = os.environ.get(PRECISION_ENV, "12")
+    digits = read_integer(text) if text.strip().isdecimal() else 0
+    if digits < 1:
+        raise ValueError(f"{PRECISION_ENV} must be a positive integer, got {text!r}")
+    return digits
 
 
 def _load_descriptor(text: str) -> dict:
@@ -146,12 +148,12 @@ def cmd_operator(args) -> int:
     tol = as_rational(args.tol) if args.tol is not None else DEFAULT_TOL
     if tol <= 0:
         raise BadTolerance(f"tolerance must be positive, got {format_rational(tol)}")
+    digits = _precision()
     report = existence_report(OperatorProblem.from_json(_load_descriptor(args.problem)))
     if report.verdict != "exists":
         print(f"operator does not exist: {report.verdict}", file=sys.stderr)
         return 3
     spec = build_operator(report, tol)
-    digits = _precision()
     out = sys.stderr if args.samples else sys.stdout
 
     print(f"nodes (tol {format_rational(tol)}):", file=out)

@@ -19,7 +19,7 @@ from .operator import (
 )
 from .polynomial import Polynomial
 from .rational import format_rational
-from .spaces import NoBasisReport, bernstein_basis, build_space, derived_space
+from .spaces import bernstein_basis, build_space, derived_space
 
 X3 = Polynomial.from_sparse("3:1")
 ONE = Polynomial.one()
@@ -114,10 +114,8 @@ def _case_endpoint_zero() -> dict:
 
 
 def _case_derived_e4() -> dict:
-    space = build_space([0, 1, 2, 3, 6], -1, 1)
-    basis = derived_space(space, ONE)
-    if isinstance(basis, NoBasisReport):
-        return basis.to_json()
+    report = _report(build_space([0, 1, 2, 3, 6], -1, 1))
+    basis = derived_space(report.basis, report.beta, ONE)
     out = {
         **basis.to_json(),
         "support": sorted({e for p in basis.elements for e in p.support()}),

@@ -29,6 +29,10 @@ class DegreeTooLarge(BernsteinForgeError):
     """An exponent or polynomial degree is above polynomial.MAX_DEGREE."""
 
 
+class DimensionTooLarge(BernsteinForgeError):
+    """A space has more than spaces.MAX_DIMENSION monomials."""
+
+
 class BadInterval(BernsteinForgeError):
     """Interval endpoints do not satisfy a < b."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     ArityMismatch,
@@ -123,18 +123,13 @@ def certify_problem(problem: OperatorProblem):
     return token
 
 
-def w_coefficients(problem: OperatorProblem,
-                   derived: Union[BernsteinBasis, NoBasisReport]) -> tuple:
-    """Coordinates w of (f1/f0)' in `derived`, the derived-space basis
-    that `derived_space(problem.space, problem.f0)` returns.
+def w_coefficients(problem: OperatorProblem, derived: BernsteinBasis) -> tuple:
+    """Coordinates w of (f1/f0)' in `derived`, the basis `derived_space` returns.
 
-    Computed on numerators: both sides of the expansion share the factor
-    1/f0^2, so the coordinates of the derived numerator of f1 in the
-    numerator basis are exactly the w coefficients.  Raises
-    DerivedBasisUnavailable for a refusal report or a signed basis.
+    Both sides of the expansion share the factor 1/f0^2, so w is the
+    coordinate vector of derived_numerator(f1, f0) in the numerator basis.
+    Raises DerivedBasisUnavailable for a signed basis.
     """
-    if isinstance(derived, NoBasisReport):
-        raise DerivedBasisUnavailable(f"derived basis refused: {derived.to_json()}")
     if derived.positivity == GRADE_SIGNED:
         raise DerivedBasisUnavailable("derived Bernstein basis is not non-negative")
     return coordinates(derived_numerator(problem.f1, problem.f0), derived)
@@ -241,12 +236,10 @@ def existence_report(problem: OperatorProblem) -> ExistenceReport:
 
     beta = coordinates(problem.f0, basis)
     gamma = coordinates(problem.f1, basis)
-    w = None
-    if all(bk > 0 for bk in beta):
-        try:
-            w = w_coefficients(problem, derived_space(problem.space, problem.f0))
-        except DerivedBasisUnavailable:
-            pass
+    try:
+        w = w_coefficients(problem, derived_space(basis, beta, problem.f0))
+    except DerivedBasisUnavailable:
+        w = None
     return ExistenceReport(problem, ratio_cert, basis, beta=beta, gamma=gamma, w=w)
 
 
@@ -382,7 +375,7 @@ class StructuralDiagnostics:
     For every k the numerator of (p_k / f0)' equals
     c_k Q_{k-1} + d_k Q_k with the boundary conventions c_0 = d_n = 0;
     with non-negative bases all interior c_k are positive and all interior
-    d_k negative, where Q is the derived-space basis `derived`.  delta(k0)
+    d_k negative, where Q is the derived basis, built from tail sums.  delta(k0)
     and the recurrence c_{k+1} delta_{k+1} = w_k - delta_k d_k tie the w
     coefficients to the coordinate ratios.
     """
@@ -413,10 +406,12 @@ def structural_diagnostics(problem: OperatorProblem) -> StructuralDiagnostics:
     basis = normalize_when_possible(bernstein_basis(problem.space))
     if isinstance(basis, NoBasisReport):
         raise DerivedBasisUnavailable(f"no Bernstein basis: {basis.to_json()}")
-    derived = derived_space(problem.space, problem.f0)
-    w = w_coefficients(problem, derived)
+    if not certify_positive_on_closed(problem.f0, problem.space.a, problem.space.b):
+        raise F0NotPositive("f0 must be strictly positive on [a, b]")
     beta = coordinates(problem.f0, basis)
     gamma = coordinates(problem.f1, basis)
+    derived = derived_space(basis, beta, problem.f0)
+    w = w_coefficients(problem, derived)
 
     q = derived.elements
     n = basis.order

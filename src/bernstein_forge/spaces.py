@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Union
 
 from .errors import (
     BadExponents,
     BadInterval,
     ConstantNotInSpace,
-    F0NotPositive,
+    DerivedBasisUnavailable,
+    DimensionTooLarge,
     InconsistentSystem,
     NonPositiveScalar,
     NotInSpace,
@@ -38,6 +40,8 @@ GRADE_NORMALIZED = "normalized"
 
 FORCED_EXTRA_ZERO = "forced-extra-zero"
 DEGENERATE_SOLUTION_SPACE = "degenerate-solution-space"
+
+MAX_DIMENSION = 33  # the most monomials in a space; its basis costs O(n^4)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,8 @@ def descriptor_fields(obj, kind: str, keys: tuple) -> list:
 def build_space(exponents, a, b) -> MonomialSpace:
     """The span of x^e over [a, b]; exponents are ints, a and b exact rationals.
 
-    A top exponent above polynomial.MAX_DEGREE is refused by DegreeTooLarge.
+    A top exponent above polynomial.MAX_DEGREE is refused by DegreeTooLarge,
+    and more than MAX_DIMENSION exponents by DimensionTooLarge.
     """
     if not isinstance(exponents, (list, tuple, range)) or not all(
         isinstance(e, int) and not isinstance(e, bool) for e in exponents
@@ -99,6 +104,8 @@ def build_space(exponents, a, b) -> MonomialSpace:
         x >= y for x, y in zip(exps, exps[1:])
     ):
         raise BadExponents(f"exponents must be non-negative, strictly increasing: {exps}")
+    if len(exps) > MAX_DIMENSION:
+        raise DimensionTooLarge(f"space dimension {len(exps)} is above the maximum {MAX_DIMENSION}")
     check_degree(exps[-1], "top exponent")
     try:
         a, b = as_rational(a), as_rational(b)
@@ -302,30 +309,30 @@ def derived_numerator(f: Polynomial, f0: Polynomial) -> Polynomial:
     return f.derivative() * f0 - f * f0.derivative()
 
 
-def derived_space(space: MonomialSpace, f0: Polynomial) -> Union[BernsteinBasis, NoBasisReport]:
+def derived_space(basis: BernsteinBasis, beta, f0: Polynomial) -> BernsteinBasis:
     """Bernstein basis of {d/dx (f / f0) : f in the space}, by numerators.
 
-    Each element Q of the returned basis stands for the derived-space
-    element Q / f0^2; since f0^2 > 0 on [a, b], zero orders and sign
-    classifications transfer unchanged.  The map f -> derived_numerator(f, f0)
-    is linear on the space with kernel span{f0} (f/f0 is constant exactly
-    there), so the images of the n + 1 monomial generators obey one
-    relation, whose coefficients are the coordinates of f0.  Its
-    coefficient at x^deg(f0) is the leading coefficient of f0, not zero, so
-    dropping that one image leaves n independent generators of the derived
-    space; it is also the one image that an ascending search for an
-    independent subset rejects.  Were the generators ever dependent, the
-    dependency would satisfy every vanishing condition, so each element
-    would have a null space of dimension above one (a refusal) or be the
-    zero polynomial (a ValueError): never a wrong basis.  The basis is
-    built with target zero orders (k, n-1-k) and normalized to a partition
-    of unity whenever the constant lies in the span and the basis is
-    non-negative.  A span with no Bernstein basis gives its refusal report.
-    """
-    if not space.contains(f0):
-        raise NotInSpace("f0 must lie in the space")
-    if not certify_positive_on_closed(f0, space.a, space.b):
-        raise F0NotPositive("f0 must be strictly positive on [a, b]")
+    `basis` is the space's basis p_0..p_n as normalize_when_possible returns
+    it, and beta = coordinates(f0, basis) > 0, else DerivedBasisUnavailable.
+    An element Q stands for Q / f0^2: same zero orders and sign verdicts.
 
-    images = [derived_numerator(g, f0) for g in space.monomials() if g.degree != f0.degree]
-    return normalize_when_possible(basis_from_generators(images, space.a, space.b))
+    Element k-1 is primitive(N_k), N_k = derived_numerator(S_k, f0) for the
+    tail sum S_k = sum_{j>=k} beta_j p_j, k = 1..n.  S_k has exact order k at
+    a (beta_k != 0), so N_k = f0^2 (S_k / f0)' has exact order k-1 there.
+    f0 - S_k = sum_{j<k} beta_j p_j has exact order n-k+1 at b and, led by
+    beta_{k-1} p_{k-1}, is positive just inside b; so N_k = -f0^2 ((f0 - S_k)
+    / f0)' has exact order n-k at b and is positive just inside b.  N_1..N_n
+    span the n-dimensional numerator space and are triangular at both ends:
+    order >= k-1 at a leaves only N_j with j >= k, order >= n-k at b only
+    j <= k.  So each index has nullity 1 and exact orders, and primitive(N_k)
+    is what basis_from_generators returns for index k-1.  The basis is
+    normalized when possible.
+    """
+    if any(bk <= 0 for bk in beta):
+        raise DerivedBasisUnavailable("derived basis needs every beta_k > 0")
+    # S_n, S_{n-1}, ..., S_1: the terms beta_k p_k from k = n down to 1, summed.
+    tails = accumulate(p.scale(bk) for p, bk in zip(basis.elements[:0:-1], beta[:0:-1]))
+    elements = [derived_numerator(s, f0).primitive() for s in tails][::-1]
+    classifications = tuple(classify_on_interval(q, basis.a, basis.b) for q in elements)
+    return normalize_when_possible(
+        BernsteinBasis(tuple(elements), classifications, normalized=False, a=basis.a, b=basis.b))

@@ -174,7 +174,8 @@ def test_criterion_06_negative_w_despite_increasing_ratio():
 
 
 def test_criterion_07_derived_space_of_degree_six_gap_space():
-    derived = derived_space(build_space([0, 1, 2, 3, 6], -1, 1), ONE)
+    basis = normalized_basis([0, 1, 2, 3, 6], -1, 1)
+    derived = derived_space(basis, coordinates(ONE, basis), ONE)
     assert sorted({e for p in derived.elements for e in p.support()}) == [0, 1, 2, 5]
     assert derived.positivity == "positive"
     # Compare against the value-1-at-0 scaling convention of the source data.

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bernstein_forge import MAX_DEGREE, IdentityViolation, cli, spaces
+from bernstein_forge import MAX_DEGREE, MAX_DIMENSION, IdentityViolation, cli, spaces
 from bernstein_forge.corpus import CASES, run_corpus
 
 SPACE_E1 = json.dumps({"exponents": [0, 3], "a": "-1", "b": "1"})
@@ -330,6 +330,24 @@ class TestSizeContract:
         assert "grade     normalized" in capsys.readouterr().out
 
 
+class TestDimensionCap:
+    """A span of more than MAX_DIMENSION monomials is refused before its basis."""
+
+    def test_refused_in_its_own_process(self):
+        space = json.dumps({"exponents": list(range(MAX_DIMENSION + 1)), "a": "1", "b": "2"})
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "bernstein_forge.cli", "basis", space],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 1
+        assert done.stderr == (f"error: space dimension {MAX_DIMENSION + 1} is above "
+                               f"the maximum {MAX_DIMENSION}\n")
+
+    def test_cap_itself_accepted(self, capsys):
+        space = json.dumps({"exponents": list(range(MAX_DIMENSION)), "a": "1", "b": "2"})
+        assert cli.main(["basis", space]) == 0
+        assert "grade     normalized" in capsys.readouterr().out
+
+
 class TestUsageErrors:
     """argparse's usage errors exit 1, since 2 means "no Bernstein basis"."""
 
@@ -434,3 +452,12 @@ class TestSamplesCsv:
         captured = capsys.readouterr()
         # The enclosure is far tighter than 3 digits; both ends round alike.
         assert "t1 = [0.909, 0.909]" in captured.err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
+    def test_malformed_precision_env_refused(self, capsys, monkeypatch, value):
+        monkeypatch.setenv(cli.PRECISION_ENV, value)
+        assert cli.main(["operator", PROBLEM_GAP, "--samples", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {cli.PRECISION_ENV} must be a positive integer, "
+                                f"got {value!r}\n")

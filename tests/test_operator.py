@@ -14,18 +14,20 @@ from bernstein_forge import (
     Enclosure,
     F0NotPositive,
     IdentityViolation,
-    NoBasisReport,
     OperatorProblem,
     Polynomial,
     RatioNotMonotone,
     ToleranceTooLoose,
+    bernstein_basis,
     build_operator,
     build_space,
     certify_monotone_ratio,
     certify_problem,
+    coordinates,
     derived_space,
     evaluate_operator,
     existence_report,
+    normalize_when_possible,
     operator_combination,
     structural_diagnostics,
     w_coefficients,
@@ -161,12 +163,19 @@ class TestExistence:
             assert report.ratios == tuple(Fraction(k, n) for k in range(n + 1))
 
 
+def derived_of(prob):
+    """The derived basis existence_report builds for prob: from the base
+    basis that normalize_when_possible returns, and beta."""
+    basis = normalize_when_possible(bernstein_basis(prob.space))
+    return derived_space(basis, coordinates(prob.f0, basis), prob.f0)
+
+
 class TestWCoefficients:
     def test_collocation_oracle(self):
         # w expands (f1)' in the derived basis; check the expansion by
         # evaluating both sides at several rational points.
         prob = problem([0, 1, 2, 3], -1, 1, ONE, X3)
-        derived = derived_space(prob.space, ONE)
+        derived = derived_of(prob)
         w = w_coefficients(prob, derived)
         assert w == (3, -3, 3)
         deriv = X3.derivative()
@@ -177,25 +186,27 @@ class TestWCoefficients:
 
     def test_all_positive_for_strict_classical(self):
         prob = problem([0, 1, 2], 0, 1, ONE, X)
-        w = w_coefficients(prob, derived_space(prob.space, ONE))
+        w = w_coefficients(prob, derived_of(prob))
         assert all(x > 0 for x in w)
 
     def test_refused_derived_basis(self):
-        # span{1, x, x^3} on [-1, 1]: in the derived span{1, x^2} the one
-        # element vanishing at -1 is x^2 - 1, which vanishes at 1 as well.
+        # span{1, x, x^3} on [-1, 1] has a signed basis in which f0 = 1 has
+        # beta = (1/4, 0, 1/4): derived_space refuses a non-positive beta.
         prob = problem([0, 1, 3], -1, 1, ONE, X3)
-        derived = derived_space(prob.space, ONE)
-        assert isinstance(derived, NoBasisReport)
-        assert (derived.index, derived.kind, derived.endpoint) == (1, "forced-extra-zero", "b")
-        with pytest.raises(DerivedBasisUnavailable, match="derived basis refused"):
-            w_coefficients(prob, derived)
+        basis = bernstein_basis(prob.space)
+        beta = coordinates(ONE, basis)
+        assert beta == (Fraction(1, 4), 0, Fraction(1, 4))
+        with pytest.raises(DerivedBasisUnavailable, match="every beta_k > 0"):
+            derived_space(basis, beta, ONE)
 
     def test_signed_derived_basis(self):
-        # On [-1, 2] the same derived span has the signed basis
-        # (4 - x^2, x^2 - 1): no w in a basis of mixed sign.
-        prob = problem([0, 1, 3], -1, 2, ONE, X3)
-        derived = derived_space(prob.space, ONE)
-        assert [p.to_sparse() for p in derived.elements] == ["0:4,2:-1", "0:-1,2:1"]
+        # span{1, x^2, x^4} on [-7/3, 3] has a signed basis in which f0 = 1
+        # has beta > 0; its derived span{x, x^3} has the signed basis
+        # (9x - x^3, 9x^3 - 49x): no w in a basis of mixed sign.
+        prob = problem([0, 2, 4], Fraction(-7, 3), 3, ONE, X)
+        assert bernstein_basis(prob.space).positivity == "signed"
+        derived = derived_of(prob)
+        assert [p.to_sparse() for p in derived.elements] == ["1:9,3:-1", "1:-49,3:9"]
         assert derived.positivity == "signed"
         with pytest.raises(DerivedBasisUnavailable, match="not non-negative"):
             w_coefficients(prob, derived)
@@ -369,6 +380,12 @@ class TestStructuralDiagnostics:
             assert diag.c[0] == 0 and diag.d[n] == 0
             assert all(diag.c[k] > 0 for k in range(1, n + 1))
             assert all(diag.d[k] < 0 for k in range(n))
+
+    def test_f0_not_positive(self):
+        # structural_diagnostics certifies f0 > 0 itself: f0 = x changes sign
+        # on [-1, 1], and its beta = (-1, 1) is not what refuses it.
+        with pytest.raises(F0NotPositive):
+            structural_diagnostics(problem([0, 1], -1, 1, X, X))
 
     def test_one_generator_space(self):
         # span{x^2} over f0 = x^2: the derived space is {0} and w is empty.

@@ -4,16 +4,19 @@ from math import comb
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bernstein_forge import (
     MAX_DEGREE,
+    MAX_DIMENSION,
     BadExponents,
     BadInterval,
     BernsteinBasis,
     ConstantNotInSpace,
     DegreeTooLarge,
+    DerivedBasisUnavailable,
+    DimensionTooLarge,
     NoBasisReport,
     NonPositiveScalar,
     NotInSpace,
@@ -28,7 +31,7 @@ from bernstein_forge import (
     solve_linear,
 )
 from bernstein_forge.rational import format_rational
-from bernstein_forge.spaces import GRADE_POSITIVE
+from bernstein_forge.spaces import GRADE_POSITIVE, derived_numerator
 from bernstein_forge.sturm import classify_on_interval
 
 X = Polynomial.monomial(1)
@@ -67,6 +70,11 @@ class TestBuildSpace:
         assert build_space([0, MAX_DEGREE], 1, 2).order == 1
         with pytest.raises(DegreeTooLarge, match=f"top exponent {10**9} "):
             build_space([0, 10**9], 1, 2)
+
+    def test_dimension_cap(self):
+        assert build_space(range(MAX_DIMENSION), 1, 2).dimension == MAX_DIMENSION
+        with pytest.raises(DimensionTooLarge, match=f"dimension {MAX_DIMENSION + 1} "):
+            build_space(range(MAX_DIMENSION + 1), 1, 2)
 
     @pytest.mark.parametrize("exponents", [3, "01", [0, 1.5], [0, True], [0, "1"]])
     def test_exponents_must_be_integers(self, exponents):
@@ -253,16 +261,23 @@ class TestCoordinates:
             assert recon == f
 
 
+def derived_of(space, f0):
+    """The derived basis of (space, f0) as existence_report builds it: from
+    the base basis that normalize_when_possible returns, and beta."""
+    basis = normalize_when_possible(bernstein_basis(space))
+    return derived_space(basis, coordinates(f0, basis), f0)
+
+
 class TestDerivedSpace:
     def test_e4_numerator_span(self):
-        derived = derived_space(build_space([0, 1, 2, 3, 6], -1, 1), ONE)
+        derived = derived_of(build_space([0, 1, 2, 3, 6], -1, 1), ONE)
         support = sorted({e for p in derived.elements for e in p.support()})
         assert support == [0, 1, 2, 5]
         assert derived.positivity == "positive"
         assert len(derived.elements) == 4
 
     def test_p3_derived_is_standard_quadratic_basis(self):
-        derived = derived_space(build_space([0, 1, 2, 3], 0, 1), ONE)
+        derived = derived_of(build_space([0, 1, 2, 3], 0, 1), ONE)
         assert [p.to_sparse() for p in derived.elements] == [
             "0:1,1:-2,2:1",   # (1-x)^2
             "1:2,2:-2",       # 2x(1-x)
@@ -270,23 +285,20 @@ class TestDerivedSpace:
         ]
 
     def test_constant_space(self):
-        derived = derived_space(build_space([0, 1], 0, 1), ONE)
+        derived = derived_of(build_space([0, 1], 0, 1), ONE)
         assert derived.elements == (ONE,)
 
     def test_dimension_drop(self):
         for exps in ([0, 1, 2, 3], [0, 1, 2, 3, 6], [0, 3]):
             space = build_space(exps, -1, 1)
-            derived = derived_space(space, ONE)
-            if isinstance(derived, NoBasisReport):
-                continue
-            assert len(derived.elements) == space.order
+            assert len(derived_of(space, ONE).elements) == space.order
 
     def test_nontrivial_f0(self):
         # f0 = 1 + x^2 is positive on [-1, 1]; derived numerators live in
         # polynomial arithmetic and keep exact zero orders.
         space = build_space([0, 1, 2, 3], -1, 1)
         f0 = Polynomial.from_sparse("0:1,2:1")
-        derived = derived_space(space, f0)
+        derived = derived_of(space, f0)
         n = space.order
         for k, q in enumerate(derived.elements):
             for j in range(k):
@@ -298,7 +310,7 @@ class TestDerivedSpace:
     def test_one_generator_space(self):
         # span{x^2} divided by f0 = x^2 is constant: the derived space is {0}.
         space = build_space([2], 1, 2)
-        derived = derived_space(space, Polynomial.monomial(2))
+        derived = derived_of(space, Polynomial.monomial(2))
         assert derived.elements == ()
         assert derived.zero_orders == ()
         assert not derived.normalized
@@ -369,6 +381,13 @@ def spans_with_weights(draw):
     return build_space(sorted(exps), a, b), f0
 
 
+def derived_reference(space, f0):
+    """Reference: the derived basis by null-space solves over the images of
+    the monomials, all but the one of x^deg(f0)."""
+    images = [derived_numerator(g, f0) for g in space.monomials() if g.degree != f0.degree]
+    return normalize_when_possible(basis_from_generators(images, space.a, space.b))
+
+
 class TestDerivedGenerators:
     @given(spans_with_weights())
     @settings(max_examples=150, deadline=None)
@@ -386,8 +405,75 @@ class TestDerivedGenerators:
         ]).rank()
         assert rank == len(kept) == space.order
 
-        reference = normalize_when_possible(basis_from_generators(independent, space.a, space.b))
-        assert derived_space(space, f0).to_json() == reference.to_json()
+        basis = normalize_when_possible(bernstein_basis(space))
+        if isinstance(basis, NoBasisReport):
+            return
+        beta = coordinates(f0, basis)
+        if all(bk > 0 for bk in beta):
+            reference = derived_reference(space, f0)
+            assert derived_space(basis, beta, f0).to_json() == reference.to_json()
+        else:
+            with pytest.raises(DerivedBasisUnavailable):
+                derived_space(basis, beta, f0)
+
+
+@st.composite
+def planted_problems(draw):
+    """(space, f0, ratios): a span and f0 from spans_with_weights whose base
+    basis exists with every beta_k > 0, and planted ratios r_k."""
+    space, f0 = draw(spans_with_weights())
+    basis = normalize_when_possible(bernstein_basis(space))
+    assume(not isinstance(basis, NoBasisReport))
+    assume(all(bk > 0 for bk in coordinates(f0, basis)))
+    ratios = draw(st.lists(small_rationals(-9, 9), min_size=space.dimension,
+                           max_size=space.dimension))
+    return space, f0, ratios
+
+
+def check_tail_sum_identity(space, f0, ratios):
+    """With T_k = sum_{j>=k} beta_j p_j / f0 and f1 = sum r_k beta_k p_k,
+    f1 / f0 = r_0 + sum_{k>=1} (r_k - r_{k-1}) T_k.  The numerator N_k of
+    T_k' is s_k Q_{k-1} with s_k > 0, so w_{k-1} = s_k (r_k - r_{k-1})."""
+    basis = normalize_when_possible(bernstein_basis(space))
+    beta = coordinates(f0, basis)
+    derived = derived_space(basis, beta, f0)
+    assert derived.to_json() == derived_reference(space, f0).to_json()
+
+    f1 = Polynomial.zero()
+    for r, bk, p in zip(ratios, beta, basis.elements):
+        f1 = f1 + p.scale(r * bk)
+    assert coordinates(f1, basis) == tuple(r * bk for r, bk in zip(ratios, beta))
+    w = coordinates(derived_numerator(f1, f0), derived)
+
+    tail = Polynomial.zero()
+    for k in range(space.order, 0, -1):
+        tail = tail + basis.elements[k].scale(beta[k])
+        numerator, q = derived_numerator(tail, f0), derived.elements[k - 1]
+        s_k = numerator.leading / q.leading
+        assert numerator == q.scale(s_k)
+        assert s_k > 0
+        assert w[k - 1] == s_k * (ratios[k] - ratios[k - 1])
+
+
+class TestAbelIdentity:
+    @given(planted_problems())
+    @settings(max_examples=120, deadline=None)
+    def test_planted(self, case):
+        check_tail_sum_identity(*case)
+
+    @pytest.mark.parametrize("exponents, a, b, f0", [
+        ([0, 1, 2, 5], -2, Fraction(-1, 2), "0:1,2:1"),
+        ([0, 1, 2, 5], -1, Fraction(1, 2), "0:1,2:1"),
+        ([0, 1, 2, 5], Fraction(1, 2), 2, "0:1,2:1"),
+        ([0, 1, 3, 6], -2, Fraction(-1, 2), "0:3,1:1"),
+        ([0, 1, 2, 5], -1, Fraction(1, 2), "0:2,1:1"),
+        ([0, 1, 3, 6], Fraction(1, 2), 2, "0:3,1:1"),
+        ([0, 1, 3, 4], Fraction(-1, 3), 2, "0:3,1:1"),  # signed base and derived bases
+    ])
+    def test_gap_spans_on_every_side(self, exponents, a, b, f0):
+        space = build_space(exponents, a, b)
+        ratios = [Fraction(v, 3) for v in (2, -1, 4, 0, 5, -7)[:space.dimension]]
+        check_tail_sum_identity(space, Polynomial.from_sparse(f0), ratios)
 
 
 def every_index_reference(space):
