@@ -41,6 +41,7 @@ from .polynomial import MAX_DEGREE, Polynomial
 from .rational import as_rational, format_decimal, format_rational
 from .spaces import (
     MAX_DIMENSION,
+    MAX_SIZE,
     BernsteinBasis,
     MonomialSpace,
     NoBasisReport,

@@ -19,7 +19,7 @@ from .operator import (
 )
 from .polynomial import Polynomial
 from .rational import format_rational
-from .spaces import bernstein_basis, build_space, derived_space
+from .spaces import bernstein_basis, build_space
 
 X3 = Polynomial.from_sparse("3:1")
 ONE = Polynomial.one()
@@ -114,8 +114,7 @@ def _case_endpoint_zero() -> dict:
 
 
 def _case_derived_e4() -> dict:
-    report = _report(build_space([0, 1, 2, 3, 6], -1, 1))
-    basis = derived_space(report.basis, report.beta, ONE)
+    basis = _report(build_space([0, 1, 2, 3, 6], -1, 1)).derived
     out = {
         **basis.to_json(),
         "support": sorted({e for p in basis.elements for e in p.support()}),

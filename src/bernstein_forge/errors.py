@@ -26,7 +26,8 @@ class BadExponents(BernsteinForgeError):
 
 
 class DegreeTooLarge(BernsteinForgeError):
-    """An exponent or polynomial degree is above polynomial.MAX_DEGREE."""
+    """An exponent or polynomial degree is above polynomial.MAX_DEGREE, or a
+    space's order n and top exponent e have n^2 e above spaces.MAX_SIZE."""
 
 
 class DimensionTooLarge(BernsteinForgeError):

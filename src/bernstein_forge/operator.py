@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
 from .errors import (
@@ -153,7 +154,9 @@ class ExistenceReport:
     """The exact facts about a problem; every summary is derived from them.
 
     beta and gamma are absent when there is no non-negative Bernstein
-    basis, and w when some beta_k <= 0 or the derived basis is unavailable.
+    basis; derived (the basis derived_space returns) and w, the coordinates
+    in it, are absent together when some beta_k <= 0 or the derived basis is
+    signed.
     """
 
     problem: OperatorProblem
@@ -162,6 +165,7 @@ class ExistenceReport:
     no_basis: Optional[NoBasisReport] = None
     beta: Optional[tuple] = None
     gamma: Optional[tuple] = None
+    derived: Optional[BernsteinBasis] = None
     w: Optional[tuple] = None
 
     @property
@@ -237,10 +241,12 @@ def existence_report(problem: OperatorProblem) -> ExistenceReport:
     beta = coordinates(problem.f0, basis)
     gamma = coordinates(problem.f1, basis)
     try:
-        w = w_coefficients(problem, derived_space(basis, beta, problem.f0))
+        derived = derived_space(basis, beta, problem.f0)
+        w = w_coefficients(problem, derived)
     except DerivedBasisUnavailable:
-        w = None
-    return ExistenceReport(problem, ratio_cert, basis, beta=beta, gamma=gamma, w=w)
+        derived = w = None
+    return ExistenceReport(problem, ratio_cert, basis, beta=beta, gamma=gamma,
+                           derived=derived, w=w)
 
 
 def _interval_eval(p: Polynomial, lo: Fraction, hi: Fraction):
@@ -372,73 +378,54 @@ def evaluate_operator(spec: OperatorSpec, samples, x) -> Enclosure:
 class StructuralDiagnostics:
     """Exact verification data for the derivative-expansion identities.
 
-    For every k the numerator of (p_k / f0)' equals
-    c_k Q_{k-1} + d_k Q_k with the boundary conventions c_0 = d_n = 0;
-    with non-negative bases all interior c_k are positive and all interior
-    d_k negative, where Q is the derived basis, built from tail sums.  delta(k0)
-    and the recurrence c_{k+1} delta_{k+1} = w_k - delta_k d_k tie the w
-    coefficients to the coordinate ratios.
+    For every k the numerator of (p_k / f0)' equals c_k Q_{k-1} + d_k Q_k,
+    where Q is report.derived, with the boundary conventions c_0 = d_n = 0.
+    The tail sums give c and d in closed form: N_k = sum_{j>=k} beta_j
+    num_j, the numerator of (S_k / f0)', is s_k Q_{k-1} (see derived_space),
+    and beta_k num_k = N_k - N_{k+1}, so c_k = s_k / beta_k and
+    d_k = -s_{k+1} / beta_k with s_0 = s_{n+1} = 0.  N_k and Q_{k-1} are
+    both positive just inside b, so s_k > 0: all interior c_k are positive
+    and all interior d_k negative.  delta(k0) and the recurrence
+    c_{k+1} delta_{k+1} = w_k - delta_k d_k tie the w coefficients to the
+    coordinate ratios.
     """
 
-    problem: OperatorProblem
-    basis: BernsteinBasis
-    derived: BernsteinBasis
+    report: ExistenceReport
     c: tuple
     d: tuple
-    beta: tuple
-    gamma: tuple
-    w: tuple
 
     def delta(self, k0: int) -> tuple:
-        pivot = self.gamma[k0] / self.beta[k0]
-        return tuple(g - pivot * bk for g, bk in zip(self.gamma, self.beta))
+        beta, gamma = self.report.beta, self.report.gamma
+        pivot = gamma[k0] / beta[k0]
+        return tuple(g - pivot * bk for g, bk in zip(gamma, beta))
 
     def recurrence_residuals(self, k0: int) -> tuple:
         """c_{k+1} delta_{k+1} - (w_k - delta_k d_k) for k = 0..n-1; all zero."""
-        delta = self.delta(k0)
+        delta, w = self.delta(k0), self.report.w
         return tuple(
-            self.c[k + 1] * delta[k + 1] - (self.w[k] - delta[k] * self.d[k])
-            for k in range(len(self.w))
+            self.c[k + 1] * delta[k + 1] - (w[k] - delta[k] * self.d[k])
+            for k in range(len(w))
         )
 
 
-def structural_diagnostics(problem: OperatorProblem) -> StructuralDiagnostics:
-    basis = normalize_when_possible(bernstein_basis(problem.space))
-    if isinstance(basis, NoBasisReport):
-        raise DerivedBasisUnavailable(f"no Bernstein basis: {basis.to_json()}")
-    if not certify_positive_on_closed(problem.f0, problem.space.a, problem.space.b):
-        raise F0NotPositive("f0 must be strictly positive on [a, b]")
-    beta = coordinates(problem.f0, basis)
-    gamma = coordinates(problem.f1, basis)
-    derived = derived_space(basis, beta, problem.f0)
-    w = w_coefficients(problem, derived)
+def structural_diagnostics(report: ExistenceReport) -> StructuralDiagnostics:
+    """c and d from the closed forms, each checked as an exact identity.
 
-    q = derived.elements
-    n = basis.order
-    c = [Fraction(0)] * (n + 1)
-    d = [Fraction(0)] * (n + 1)
-    for k, p in enumerate(basis.elements):
-        target = derived_numerator(p, problem.f0)
-        window = q[max(k - 1, 0):k + 1]  # (Q_{k-1}, Q_k), without Q_{-1} and Q_n
-        try:
-            vals = coordinates(target, window)
-        except NotInSpace as exc:
-            raise IdentityViolation(f"derivative expansion failed at k={k}") from exc
-        if k >= 1:
-            c[k] = vals[0]
-        if k <= n - 1:
-            d[k] = vals[-1]
-        recon = sum((qk.scale(v) for v, qk in zip(vals, window)), Polynomial.zero())
-        if recon != target:
+    Raises DerivedBasisUnavailable when the report has no w, and
+    IdentityViolation naming the first k whose numerator is not
+    c_k Q_{k-1} + d_k Q_k.
+    """
+    if report.w is None:
+        raise DerivedBasisUnavailable(f"no non-negative derived basis: verdict {report.verdict}")
+    f0, beta = report.problem.f0, report.beta
+    nums = [derived_numerator(p, f0) for p in report.basis.elements]
+    qs = (Polynomial.zero(), *report.derived.elements, Polynomial.zero())  # Q_{-1}..Q_n
+    # N_n, N_{n-1}, ..., N_1: the terms beta_k num_k from k = n down to 1, summed.
+    tails = list(accumulate(num.scale(bk) for num, bk in zip(nums[:0:-1], beta[:0:-1])))
+    s = [0, *(t.leading / q.leading for t, q in zip(tails[::-1], report.derived.elements)), 0]
+    c = tuple(s[k] / bk for k, bk in enumerate(beta))
+    d = tuple(-s[k + 1] / bk for k, bk in enumerate(beta))
+    for k, num in enumerate(nums):
+        if num != qs[k].scale(c[k]) + qs[k + 1].scale(d[k]):
             raise IdentityViolation(f"exact reconstruction mismatch at k={k}")
-
-    return StructuralDiagnostics(
-        problem=problem,
-        basis=basis,
-        derived=derived,
-        c=tuple(c),
-        d=tuple(d),
-        beta=beta,
-        gamma=gamma,
-        w=w,
-    )
+    return StructuralDiagnostics(report=report, c=c, d=d)

@@ -248,7 +248,7 @@ def test_criterion_10_structural_identities():
     count = 0
     for prob in _structural_problems():
         try:  # IdentityViolation unless the expansion is exact for every k
-            diag = structural_diagnostics(prob)
+            diag = structural_diagnostics(existence_report(prob))
         except DerivedBasisUnavailable:
             continue  # criterion applies only when non-negative bases exist
         n = len(diag.c) - 1

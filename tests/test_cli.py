@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from bernstein_forge import MAX_DEGREE, MAX_DIMENSION, IdentityViolation, cli, spaces
+from bernstein_forge import (
+    MAX_DEGREE,
+    MAX_DIMENSION,
+    MAX_SIZE,
+    IdentityViolation,
+    cli,
+    spaces,
+)
 from bernstein_forge.corpus import CASES, run_corpus
 
 SPACE_E1 = json.dumps({"exponents": [0, 3], "a": "-1", "b": "1"})
@@ -330,6 +337,21 @@ class TestSizeContract:
         assert "grade     normalized" in capsys.readouterr().out
 
 
+class TestJointSizeLimit:
+    """A span whose order n and top exponent e have n^2 e above MAX_SIZE is
+    refused before its basis, though each alone is under its cap."""
+
+    def test_refused_in_its_own_process(self):
+        # [0..23, 20000] ran for more than 300 s before the limit.
+        space = json.dumps({"exponents": list(range(24)) + [MAX_DEGREE], "a": "1", "b": "2"})
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "bernstein_forge.cli", "basis", space],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 1
+        assert done.stderr == (f"error: space of order 24 and top exponent {MAX_DEGREE} has "
+                               f"n^2 e = {24 ** 2 * MAX_DEGREE}, above the maximum {MAX_SIZE}\n")
+
+
 class TestDimensionCap:
     """A span of more than MAX_DIMENSION monomials is refused before its basis."""
 
@@ -452,6 +474,24 @@ class TestSamplesCsv:
         captured = capsys.readouterr()
         # The enclosure is far tighter than 3 digits; both ends round alike.
         assert "t1 = [0.909, 0.909]" in captured.err
+
+    def test_precision_cap_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.PRECISION_ENV, str(cli.MAX_PRECISION))
+        assert cli.main(["operator", PROBLEM_GAP, "--samples", "2"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert len(row.split(",")[0]) == len("-1.") + cli.MAX_PRECISION
+
+    @pytest.mark.parametrize("problem", [PROBLEM_GAP, PROBLEM_RANGE, PROBLEM_NOT_MONOTONE],
+                             ids=["exists", "no-operator", "not-monotone"])
+    def test_precision_above_cap_refused_whatever_the_verdict(self, capsys, monkeypatch,
+                                                              problem):
+        value = str(cli.MAX_PRECISION + 1)
+        monkeypatch.setenv(cli.PRECISION_ENV, value)
+        assert cli.main(["operator", problem]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {cli.PRECISION_ENV} must be at most "
+                                f"{cli.MAX_PRECISION}, got {value!r}\n")
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
     def test_malformed_precision_env_refused(self, capsys, monkeypatch, value):

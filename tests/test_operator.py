@@ -1,12 +1,14 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bernstein_forge.operator as operator_module
+import bernstein_forge.spaces as spaces_module
 from bernstein_forge import (
     ArityMismatch,
     BadTolerance,
@@ -47,6 +49,9 @@ from bernstein_forge.operator import (
     W_ALL_POSITIVE,
     W_HAS_NEGATIVE,
 )
+from bernstein_forge.spaces import derived_numerator
+from test_acceptance import _structural_problems
+from test_spaces import derived_reference, planted_problems
 
 ONE = Polynomial.one()
 X = Polynomial.monomial(1)
@@ -355,18 +360,63 @@ class TestApplication:
             evaluate_operator(spec, [1, 2, 3], 0)
 
 
+def diagnostics(exponents, a, b, f0, f1):
+    return structural_diagnostics(existence_report(problem(exponents, a, b, f0, f1)))
+
+
+# The full quintic on [0, 1] with (f0, f1) = (1, x): every w_k is positive.
+QUINTIC = problem([0, 1, 2, 3, 4, 5], 0, 1, ONE, X)
+
+
+def with_derived_element(report, j, change):
+    """The report with derived element j replaced by change(Q_j, Q_{j+1})."""
+    q = list(report.derived.elements)
+    q[j] = change(q[j], q[j + 1])
+    derived = dataclasses.replace(report.derived, elements=tuple(q))
+    return dataclasses.replace(report, derived=derived)
+
+
+def window_solve_reference(prob):
+    """Reference c, d and w by linear solves, from the problem alone: the
+    derived basis by null-space solves, w by its own solve, and one
+    coordinates solve per window (Q_{k-1}, Q_k)."""
+    basis = normalize_when_possible(bernstein_basis(prob.space))
+    derived = derived_reference(prob.space, prob.f0)
+    q, n = derived.elements, basis.order
+    c = [Fraction(0)] * (n + 1)
+    d = [Fraction(0)] * (n + 1)
+    for k, p in enumerate(basis.elements):
+        vals = coordinates(derived_numerator(p, prob.f0), q[max(k - 1, 0):k + 1])
+        if k >= 1:
+            c[k] = vals[0]
+        if k <= n - 1:
+            d[k] = vals[-1]
+    return tuple(c), tuple(d), coordinates(derived_numerator(prob.f1, prob.f0), q)
+
+
+def assert_matches_reference(prob):
+    report = existence_report(prob)
+    if report.w is None:
+        with pytest.raises(DerivedBasisUnavailable):
+            structural_diagnostics(report)
+        return False
+    diag = structural_diagnostics(report)
+    assert (diag.c, diag.d, report.w) == window_solve_reference(prob)
+    return True
+
+
 class TestStructuralDiagnostics:
     def test_linear_space(self):
-        diag = structural_diagnostics(problem([0, 1], 0, 1, ONE, X))
+        diag = diagnostics([0, 1], 0, 1, ONE, X)
         assert diag.c == (0, 1)
         assert diag.d == (-1, 0)
-        assert diag.w == (1,)
+        assert diag.report.w == (1,)
 
     def test_quadratic_space(self):
-        diag = structural_diagnostics(problem([0, 1, 2], 0, 1, ONE, X))
+        diag = diagnostics([0, 1, 2], 0, 1, ONE, X)
         assert diag.c == (0, 2, 2)
         assert diag.d == (-2, -2, 0)
-        assert diag.w == (1, 1)
+        assert diag.report.w == (1, 1)
         assert all(r == 0 for r in diag.recurrence_residuals(0))
 
     def test_interior_sign_laws(self):
@@ -375,49 +425,109 @@ class TestStructuralDiagnostics:
             ([0, 1, 2, 3, 6], -1, 1, X3),
             ([0, 1, 2, 3], 0, 1, X),
         ):
-            diag = structural_diagnostics(problem(exps, a, b, ONE, f1))
+            diag = diagnostics(exps, a, b, ONE, f1)
             n = len(diag.c) - 1
             assert diag.c[0] == 0 and diag.d[n] == 0
             assert all(diag.c[k] > 0 for k in range(1, n + 1))
             assert all(diag.d[k] < 0 for k in range(n))
 
     def test_f0_not_positive(self):
-        # structural_diagnostics certifies f0 > 0 itself: f0 = x changes sign
-        # on [-1, 1], and its beta = (-1, 1) is not what refuses it.
+        # f0 = x changes sign on [-1, 1]; existence_report refuses it before
+        # there is a report to diagnose.
         with pytest.raises(F0NotPositive):
-            structural_diagnostics(problem([0, 1], -1, 1, X, X))
+            existence_report(problem([0, 1], -1, 1, X, X))
 
     def test_one_generator_space(self):
-        # span{x^2} over f0 = x^2: the derived space is {0} and w is empty.
+        # span{x^2} with f1 = 3 f0: the ratio is constant, which the
+        # standing hypotheses refuse, so there is no report to diagnose.
         x2 = Polynomial.monomial(2)
-        diag = structural_diagnostics(problem([2], 1, 2, x2, x2.scale(3)))
-        assert diag.w == ()
-        assert diag.derived.elements == ()
+        with pytest.raises(RatioNotMonotone):
+            existence_report(problem([2], 1, 2, x2, x2.scale(3)))
+
+    def test_no_w_refused(self):
+        # span{1, x, x^3} on [-1, 1]: beta_1 = 0, so the report has no w.
+        report = existence_report(problem([0, 1, 3], -1, 1, ONE, X3))
+        assert report.w is None and report.derived is None
+        with pytest.raises(DerivedBasisUnavailable):
+            structural_diagnostics(report)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_reconstruction_mismatch_named(self, monkeypatch, k):
-        # Perturb the window solve of index k: the exact reconstruction
-        # check must refuse, naming that k.
-        solve = operator_module.coordinates
-        windows = []
-
-        def perturbed(f, basis):
-            vals = solve(f, basis)
-            if isinstance(basis, tuple):  # a window (Q_{k-1}, Q_k)
-                windows.append(basis)
-                if len(windows) == k + 1:
-                    return (vals[0] + 1,) + vals[1:]
-            return vals
-
-        monkeypatch.setattr(operator_module, "coordinates", perturbed)
+    def test_reconstruction_mismatch_named(self, k):
+        # Q_k replaced by Q_k + Q_{k+1}: every numerator before k still
+        # reconstructs, the one of index k cannot.
+        report = with_derived_element(existence_report(QUINTIC), k, lambda q, nxt: q + nxt)
         with pytest.raises(IdentityViolation, match=f"mismatch at k={k}$"):
-            structural_diagnostics(problem([0, 1, 2, 3], 0, 1, ONE, X))
+            structural_diagnostics(report)
+
+    @pytest.mark.parametrize("j", [0, 2, 3])
+    def test_negated_element_breaks_sign_laws(self, j):
+        # -Q_j reconstructs exactly with s_{j+1} < 0: c_{j+1} < 0 < d_j.
+        diag = structural_diagnostics(
+            with_derived_element(existence_report(QUINTIC), j, lambda q, nxt: -q))
+        assert diag.c[j + 1] < 0 < diag.d[j]
+
+    @pytest.mark.parametrize("j", [0, 2, 3])
+    def test_rescaled_element_breaks_recurrence(self, j):
+        # 3 Q_j reconstructs exactly with c, d of the right signs, but the
+        # report's w was taken in the true basis: residual k = j is -2 w_j / 3.
+        diag = structural_diagnostics(
+            with_derived_element(existence_report(QUINTIC), j, lambda q, nxt: q.scale(3)))
+        residuals = diag.recurrence_residuals(0)
+        assert residuals[j] == -2 * diag.report.w[j] / 3 != 0
 
     def test_recurrence_all_pivots(self):
-        diag = structural_diagnostics(problem([0, 1, 2, 3, 6], -1, 1, ONE, X3))
-        for k0 in range(len(diag.beta)):
+        diag = diagnostics([0, 1, 2, 3, 6], -1, 1, ONE, X3)
+        for k0 in range(len(diag.report.beta)):
             assert all(r == 0 for r in diag.recurrence_residuals(k0))
             assert diag.delta(k0)[k0] == 0
+
+    def test_matches_window_solves_on_criterion_10_problems(self):
+        assert sum(assert_matches_reference(prob) for prob in _structural_problems()) >= 15
+
+    @given(planted_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_window_solves_on_planted_problems(self, case):
+        # f1 = sum r_k beta_k p_k with non-decreasing r: an increasing ratio
+        # whenever the derived basis is non-negative.
+        space, f0, ratios = case
+        basis = normalize_when_possible(bernstein_basis(space))
+        f1 = Polynomial.zero()
+        for r, bk, p in zip(sorted(ratios), coordinates(f0, basis), basis.elements):
+            f1 = f1 + p.scale(r * bk)
+        try:
+            assert_matches_reference(OperatorProblem(space, f0, f1))
+        except RatioNotMonotone:
+            assume(False)
+
+    def test_call_counts(self, monkeypatch):
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(operator_module, "derived_space")
+        report = existence_report(problem([0, 1, 2, 3, 6], -1, 1, ONE, X3))
+        assert calls == ["derived_space"]
+
+        calls.clear()
+        for module, name in (
+            (operator_module, "coordinates"),
+            (operator_module, "bernstein_basis"),
+            (operator_module, "certify_positive_on_closed"),
+            (spaces_module, "coordinates"),
+            (spaces_module, "solve_linear"),
+            (spaces_module, "derived_space"),
+            (spaces_module, "bernstein_basis"),
+        ):
+            counted(module, name)
+        structural_diagnostics(report)
+        assert calls == []
 
 
 class TestEquivalenceSpotCheck:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bernstein_forge import (
     MAX_DEGREE,
     MAX_DIMENSION,
+    MAX_SIZE,
     BadExponents,
     BadInterval,
     BernsteinBasis,
@@ -75,6 +76,16 @@ class TestBuildSpace:
         assert build_space(range(MAX_DIMENSION), 1, 2).dimension == MAX_DIMENSION
         with pytest.raises(DimensionTooLarge, match=f"dimension {MAX_DIMENSION + 1} "):
             build_space(range(MAX_DIMENSION + 1), 1, 2)
+
+    def test_joint_size_limit(self):
+        # n^2 e at most MAX_SIZE: [0, 1, MAX_DEGREE] at the limit, full n = 32, n = 32 to e = 78.
+        assert build_space([0, 1, MAX_DEGREE], 1, 2).order == 2
+        assert build_space(range(MAX_DIMENSION), 1, 2).order == 32
+        assert build_space([*range(32), 78], 1, 2).order == 32
+        with pytest.raises(DegreeTooLarge, match=r"order 32 and top exponent 79 has n\^2 e"):
+            build_space([*range(32), 79], 1, 2)
+        with pytest.raises(DegreeTooLarge, match=f"order 3 and top exponent {MAX_DEGREE} "):
+            build_space([0, 1, 2, MAX_DEGREE], 1, 2)
 
     @pytest.mark.parametrize("exponents", [3, "01", [0, 1.5], [0, True], [0, "1"]])
     def test_exponents_must_be_integers(self, exponents):
