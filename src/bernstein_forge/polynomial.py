@@ -7,6 +7,8 @@ trimmed.  The zero polynomial has an empty coefficient tuple and degree
 Evaluation and sign tests run fraction-free: each polynomial caches one
 common denominator D > 0 with integer numerators, and p(u/v) is the
 homogeneous Horner sum over Python ints divided by D v^d at the end.
+`sign_at_pair(u, v)` reads the sign of p(u/v) from that sum, with u/v
+not necessarily in lowest terms.
 
 Degrees are capped at MAX_DEGREE: a dense polynomial stores one
 coefficient per degree, so a sparse text such as "1000000000:1" would
@@ -41,24 +43,24 @@ def check_degree(degree: int, what: str) -> None:
         raise DegreeTooLarge(f"{what} {degree} is above the maximum degree {MAX_DEGREE}")
 
 
-def _homogeneous_horner(nums: list, x: Fraction) -> tuple:
-    """(sum of n_i u^i v^(d-i), v^d) for x = u/v and d = len(nums) - 1.
+def _homogeneous_horner(nums: list, u: int, v: int) -> int:
+    """The sum of n_i u^i v^(d-i) for integers u and v > 0, d = len(nums) - 1.
 
-    With D the common denominator of the numerators nums, p(x) equals
-    acc / (D v^d); D and v are positive, so acc carries the sign of p(x).
+    With D the common denominator of the numerators nums, p(u/v) equals
+    the sum over D v^d; D and v are positive, so the sum carries the sign
+    of p(u/v), whether or not u/v is in lowest terms.
     """
-    u, v = x.numerator, x.denominator
     rest = reversed(nums)
     acc = next(rest)
     if v == 1:
         for c in rest:
             acc = acc * u + c
-        return acc, 1
+        return acc
     vp = 1
     for c in rest:
         vp *= v
         acc = acc * u + c * vp
-    return acc, vp
+    return acc
 
 
 class Polynomial:
@@ -215,15 +217,24 @@ class Polynomial:
         den, nums = self._integer_form
         if not nums:
             return 0, 1
-        acc, vp = _homogeneous_horner(nums, as_rational(x))
-        return acc, den * vp
+        x = as_rational(x)
+        v = x.denominator
+        return _homogeneous_horner(nums, x.numerator, v), den * v ** (len(nums) - 1)
 
     def sign_at(self, x) -> int:
         """Exact sign of p(x) (-1, 0 or 1), without building the value."""
-        nums = self._integer_form[1]
+        x = as_rational(x)
+        return self.sign_at_pair(x.numerator, x.denominator)
+
+    def sign_at_pair(self, u: int, v: int) -> int:
+        """Exact sign of p(u/v) for integers u and v > 0; u/v need not be
+        reduced, so a caller can keep a running pair without a gcd."""
+        nums = self._nums
+        if nums is None:  # read the slot first: one call less on the hot path
+            nums = self._integer_form[1]
         if not nums:
             return 0
-        acc, _ = _homogeneous_horner(nums, as_rational(x))
+        acc = _homogeneous_horner(nums, u, v)
         return (acc > 0) - (acc < 0)
 
     def root_order(self, x, limit: int) -> int:
@@ -233,9 +244,10 @@ class Polynomial:
         it builds no derivative Polynomial; the zero polynomial gives limit.
         """
         x = as_rational(x)
+        u, v = x.numerator, x.denominator
         nums = self._integer_form[1]
         order = 0
-        while order < limit and (not nums or _homogeneous_horner(nums, x)[0] == 0):
+        while order < limit and (not nums or _homogeneous_horner(nums, u, v) == 0):
             order += 1
             nums = [i * c for i, c in enumerate(nums) if i]
         return order

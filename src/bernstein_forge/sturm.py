@@ -5,7 +5,10 @@ Descartes certificate (no root in the interval, from sign variations and
 endpoint root orders) or else on a Sturm chain's exact counts of distinct
 real roots; classifications carry checkable witnesses, and bisection
 midpoint signs never see a float.  Every test that needs only a sign uses
-`Polynomial.sign_at`, which builds no Fraction.
+`Polynomial.sign_at`, which builds no Fraction.  Bisection goes further:
+it halves integer numerators over one doubling denominator and tests each
+midpoint with `Polynomial.sign_at_pair` on that unreduced pair, so it
+builds Fractions only for what it returns.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from .errors import BadTolerance, NoBracket, ZeroPolynomial
 from .polynomial import Polynomial
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_rational, integer_form
 
 STRICTLY_POSITIVE = "strictly-positive"
 NONNEG_INTERIOR_ZEROS = "non-negative-with-interior-zeros"
@@ -280,13 +283,23 @@ def bisect_root(p: Polynomial, lo, hi, tol) -> Enclosure:
     """Certified bisection enclosure of width <= tol for a sign change of p.
 
     Endpoint roots and exact midpoint hits come back with zero width.
-    Raises BadTolerance unless tol > 0, and NoBracket when the exact
-    endpoint signs agree and neither endpoint is a root.
+    Raises BadTolerance unless tol > 0, ValueError unless lo < hi, and
+    NoBracket when the exact endpoint signs agree and neither endpoint is
+    a root.
+
+    The halvings run on integers.  With lo = L/D and hi = (L + W)/D over
+    one denominator, the midpoint is (2L + W)/2D: each step doubles L and
+    D, keeps W, and tests the sign of p at the unreduced pair.  The width
+    W/D halves each step, so the step count is known before the first.
+    The midpoints are the dyadic points of a Fraction loop, in the same
+    order; Fractions are built only for a midpoint root or the result.
     """
     lo, hi = as_rational(lo), as_rational(hi)
     tol = as_rational(tol)
     if tol <= 0:
         raise BadTolerance(f"tolerance must be positive, got {format_rational(tol)}")
+    if not lo < hi:
+        raise ValueError("need lo < hi")
     s_lo, s_hi = p.sign_at(lo), p.sign_at(hi)
     if s_lo == 0:
         return Enclosure(lo, lo)
@@ -296,13 +309,18 @@ def bisect_root(p: Polynomial, lo, hi, tol) -> Enclosure:
         raise NoBracket(
             f"p({format_rational(lo)}) and p({format_rational(hi)}) have equal sign"
         )
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        s = p.sign_at(mid)
+    den, (num, high) = integer_form((lo, hi))
+    width = high - num
+    # The least k with width * tol.den <= tol.num * den * 2^k.
+    steps = ((width * tol.denominator - 1) // (tol.numerator * den)).bit_length()
+    sign_at_pair = p.sign_at_pair
+    for _ in range(steps):
+        num <<= 1
+        den <<= 1
+        s = sign_at_pair(num + width, den)
         if s == 0:
+            mid = Fraction(num + width, den)
             return Enclosure(mid, mid)
         if s == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return Enclosure(lo, hi)
+            num += width
+    return Enclosure(Fraction(num, den), Fraction(num + width, den))

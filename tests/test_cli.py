@@ -119,6 +119,26 @@ class TestExitCodes:
         assert done.stderr.startswith("error: ") and message in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("digits", [cli.TOL_FLOOR_DIGITS + 1, 4000])
+    def test_operator_tolerance_below_floor_refused(self, digits):
+        # The full order-10 span over [-1, 2] with (1, x + x^3) ran 41 s at
+        # 1/10^4000 before the floor: a subprocess with a timeout.
+        problem = json.dumps({"space": {"exponents": list(range(11)), "a": "-1", "b": "2"},
+                              "f0": "0:1", "f1": "1:1,3:1"})
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "bernstein_forge.cli", "operator", problem,
+             "--tol", f"1/{10 ** digits}"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == f"error: tolerance must be at least 1/10^{cli.TOL_FLOOR_DIGITS}\n"
+
+    def test_operator_tolerance_floor_accepted(self, capsys):
+        tol = f"1/{10 ** cli.TOL_FLOOR_DIGITS}"
+        assert cli.main(["operator", PROBLEM_GAP, "--tol", tol]) == 0
+        assert f"nodes (tol {tol}):" in capsys.readouterr().out
+
     @pytest.mark.parametrize("problem", [PROBLEM_CLASSICAL, PROBLEM_RANGE],
                              ids=["exists", "node-out-of-range"])
     @pytest.mark.parametrize("tol", ["0", "-1"])
@@ -127,7 +147,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: tolerance must be positive, got {tol}\n"
 
-    @pytest.mark.parametrize("tol", ["1/0", "0"])
+    @pytest.mark.parametrize("tol", ["1/0", "0", f"1/{10 ** (cli.TOL_FLOOR_DIGITS + 1)}"])
     def test_operator_tolerance_refused_before_the_report(self, capsys, monkeypatch, tol):
         def unreached(problem):
             raise AssertionError("existence_report built for a refused --tol")

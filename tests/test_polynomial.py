@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernstein_forge import MAX_DEGREE, DegreeTooLarge, NonExactDivision, Polynomial
-from bernstein_forge.rational import sign
+from bernstein_forge.rational import integer_form, sign
 
 
 def horner_free_eval(coeffs, x):
@@ -96,6 +96,33 @@ class TestIntegerKernel:
     def test_integer_argument_gives_fraction(self):
         value = Polynomial.from_sparse("0:1/2,3:-1")(-2)
         assert isinstance(value, Fraction) and value == Fraction(17, 2)
+
+
+class TestPairKernel:
+    """sign_at_pair on unreduced pairs (g u, g v), and ratio_at's pairs."""
+
+    @given(st.one_of(st.just(Polynomial.zero()), wide_polys),
+           st.integers(min_value=-2**90, max_value=2**90),
+           st.one_of(st.just(1), st.integers(min_value=1, max_value=2**90)),
+           st.sampled_from([1, 2, 2**67, 3, 15, 2**61 - 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_sign_at_pair_matches_sign_at(self, p, u, v, g):
+        assert p.sign_at_pair(g * u, g * v) == p.sign_at(Fraction(u, v))
+
+    @given(wide_polys, wide_rationals, st.sampled_from([1, 2**40, 7]))
+    @settings(max_examples=100, deadline=None)
+    def test_zero_on_a_root(self, q, r, g):
+        p = (Polynomial.monomial(1) - Polynomial([r])) * q
+        assert p.sign_at_pair(g * r.numerator, g * r.denominator) == 0
+
+    @given(wide_polys, wide_rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_ratio_at_pair(self, p, x):
+        """The unreduced pair (sum of n_i u^i v^(d-i), D v^d), term by term."""
+        den, nums = integer_form(p.coeffs)
+        u, v, d = x.numerator, x.denominator, len(nums) - 1
+        expected = (sum(c * u**i * v ** (d - i) for i, c in enumerate(nums)), den * v**d)
+        assert p.ratio_at(x) == (expected if nums else (0, 1))
 
 
 class TestRootOrder:

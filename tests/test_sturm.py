@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernstein_forge import (
@@ -283,6 +283,103 @@ class TestBisect:
         p = linear(Fraction(1, 2))
         enc = bisect_root(p, Fraction(1, 2), 1, Fraction(1, 10))
         assert enc.to_json() == {"lo": "1/2", "hi": "1/2"}
+
+    @pytest.mark.parametrize("lo, hi", [(3, -1), (1, 1)])
+    def test_bracket_not_increasing_refused(self, lo, hi):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            bisect_root(linear(1), lo, hi, Fraction(1, 100))
+
+    def test_tolerance_checked_before_bracket(self):
+        with pytest.raises(BadTolerance):
+            bisect_root(linear(1), 3, -1, 0)
+
+
+def fraction_bisect_reference(p, lo, hi, tol):
+    """The bisection loop over Fractions, one gcd per operation: the
+    reference for bisect_root's integer loop, which must return the same
+    enclosures and raise where this raises."""
+    lo, hi, tol = Fraction(lo), Fraction(hi), Fraction(tol)
+    if tol <= 0:
+        raise BadTolerance(f"tolerance must be positive, got {tol}")
+    s_lo, s_hi = p.sign_at(lo), p.sign_at(hi)
+    if s_lo == 0:
+        return Enclosure(lo, lo)
+    if s_hi == 0:
+        return Enclosure(hi, hi)
+    if s_lo == s_hi:
+        raise NoBracket(f"p({lo}) and p({hi}) have equal sign")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        s = p.sign_at(mid)
+        if s == 0:
+            return Enclosure(mid, mid)
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return Enclosure(lo, hi)
+
+
+def _outcome(bisect, *args):
+    try:
+        return bisect(*args)
+    except (NoBracket, BadTolerance) as exc:
+        return type(exc)
+
+
+# Brackets with unrelated, mostly non-dyadic denominators.
+brackets = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=60), min_size=2, max_size=2,
+    unique=True,
+).map(sorted)
+cofactors = st.one_of(
+    st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=5),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=30), min_size=1, max_size=5),
+).map(Polynomial)
+tolerances = st.one_of(
+    st.sampled_from([Fraction(1, 3), Fraction(1, 10), Fraction(1, 10**100)]),
+    st.integers(min_value=1, max_value=100).map(lambda k: Fraction(1, 10**k)),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=7, max_denominator=10**6),
+    st.sampled_from([Fraction(0), Fraction(-1, 3)]),
+)
+
+
+@st.composite
+def bisect_cases(draw):
+    """(p, lo, hi, tol): p has a root planted inside the bracket, on a
+    dyadic point of it (an exact midpoint hit), at an endpoint, or nowhere;
+    tol is drawn alone or as the bracket's width over a power of two, where
+    the loop must stop exactly on the tolerance."""
+    lo, hi = draw(brackets)
+    where = draw(st.sampled_from(["inside", "dyadic", "endpoint", "none"]))
+    p = draw(cofactors)
+    if where == "inside":
+        p = linear(draw(st.fractions(min_value=lo, max_value=hi, max_denominator=10**6))) * p
+    elif where == "dyadic":
+        m = draw(st.integers(min_value=1, max_value=12))
+        j = draw(st.integers(min_value=1, max_value=2**m - 1))
+        p = linear(lo + (hi - lo) * Fraction(j, 2**m)) * p
+    elif where == "endpoint":
+        p = linear(draw(st.sampled_from([lo, hi]))) * p
+    tol = draw(st.one_of(
+        tolerances,
+        st.integers(min_value=0, max_value=40).map(lambda k: (hi - lo) / 2**k),
+    ))
+    return p, lo, hi, tol
+
+
+class TestBisectReference:
+    @given(bisect_cases())
+    @example((linear(Fraction(1, 7)) * (X * X + ONE), Fraction(-2, 3), Fraction(7, 5),
+              Fraction(1, 10**100)))
+    @example((linear(Fraction(-2, 3) + Fraction(31, 15) * Fraction(3, 8)),
+              Fraction(-2, 3), Fraction(7, 5), Fraction(1, 3)))
+    @example((linear(Fraction(1, 7)), Fraction(-2, 3), Fraction(7, 5), Fraction(31, 15 * 2**5)))
+    @settings(max_examples=300, deadline=None)
+    def test_same_enclosures_and_refusals(self, case):
+        p, lo, hi, tol = case
+        got = _outcome(bisect_root, p, lo, hi, tol)
+        assert got == _outcome(fraction_bisect_reference, p, lo, hi, tol)
 
 
 class TestNodeRecovery:
