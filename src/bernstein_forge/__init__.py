@@ -12,7 +12,6 @@ from .errors import (
     DimensionTooLarge,
     F0NotPositive,
     IdentityViolation,
-    InconsistentSystem,
     NoBracket,
     NonExactDivision,
     NonPositiveScalar,

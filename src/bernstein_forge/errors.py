@@ -9,10 +9,6 @@ class NonExactDivision(BernsteinForgeError):
     """Polynomial division left a nonzero remainder."""
 
 
-class InconsistentSystem(BernsteinForgeError):
-    """Right-hand side lies outside the column space."""
-
-
 class ZeroPolynomial(BernsteinForgeError):
     """Operation undefined for the zero polynomial."""
 

@@ -1,34 +1,34 @@
-"""Exact linear solving by fraction-free (Bareiss) elimination.
+"""Exact null spaces by fraction-free (Bareiss) elimination.
 
-Rows are scaled to integers first; the Bareiss update keeps every
-intermediate entry an integer minor of the input, which bounds coefficient
-blow-up compared with naive rational elimination.  Solutions are extracted
-by back substitution over Fractions, so the results are exact.
+The library solves only homogeneous systems: a Bernstein basis element is
+the null vector of its vanishing conditions.  Rows are scaled to integers
+first; the Bareiss update keeps every intermediate entry an integer minor
+of the input, which bounds coefficient blow-up compared with naive
+rational elimination.  Null vectors are extracted by back substitution
+over Fractions, so the results are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import IdentityViolation, InconsistentSystem
+from .errors import IdentityViolation
 from .rational import as_rational, integer_form
 
 
 @dataclass(frozen=True)
 class LinearSolution:
     rank: int
-    particular: Optional[tuple]  # None when no rhs was given
     nullspace: tuple  # tuple of coordinate tuples, one per free column
+    particular: None = None  # no particular solve; perfbench/tracing.py still reads it
 
 
-def solve_linear(matrix: Sequence[Sequence], rhs: Optional[Sequence] = None) -> LinearSolution:
-    """Solve matrix * x = rhs exactly (or analyze the homogeneous system).
+def solve_linear(matrix: Sequence[Sequence]) -> LinearSolution:
+    """Rank and a basis of the null space of matrix, exactly.
 
-    Returns rank, a particular solution (free variables set to 0) when a
-    right-hand side is given, and a basis of the null space.  Raises
-    InconsistentSystem when rhs lies outside the column space.
+    Null vector i sets free column i to 1 and the other free columns to 0.
     """
     n_rows = len(matrix)
     n_cols = len(matrix[0]) if n_rows else 0
@@ -37,10 +37,7 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Optional[Sequence] = None) -> 
         row = [as_rational(x) for x in matrix[i]]
         if len(row) != n_cols:
             raise ValueError("ragged matrix")
-        if rhs is not None:
-            row.append(as_rational(rhs[i]))
         rows.append(row)
-    width = n_cols + (1 if rhs is not None else 0)
 
     # Row-wise clear denominators: integer matrix, same solution set.
     im = [integer_form(row)[1] for row in rows]
@@ -55,7 +52,7 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Optional[Sequence] = None) -> 
         im[r], im[pr] = im[pr], im[r]
         for i in range(r + 1, n_rows):
             mic = im[i][c]
-            for j in range(width):
+            for j in range(n_cols):
                 if j == c:
                     continue
                 num = im[i][j] * im[r][c] - mic * im[r][j]
@@ -71,29 +68,17 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Optional[Sequence] = None) -> 
             break
     rank = r
 
-    if rhs is not None:
-        for i in range(rank, n_rows):
-            if im[i][n_cols] != 0:
-                raise InconsistentSystem("rhs outside column space")
-
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-
-    def back_sub(assign: dict, targets) -> tuple:
+    def null_vector(free: int) -> tuple:
         x = [Fraction(0)] * n_cols
-        for c, v in assign.items():
-            x[c] = Fraction(v)
+        x[free] = Fraction(1)
         for i in range(rank - 1, -1, -1):
             pc = pivot_cols[i]
-            acc = Fraction(targets[i]) if targets is not None else Fraction(0)
+            acc = Fraction(0)
             for c in range(pc + 1, n_cols):
                 if im[i][c]:
                     acc -= im[i][c] * x[c]
             x[pc] = acc / im[i][pc]
         return tuple(x)
 
-    particular = None
-    if rhs is not None:
-        particular = back_sub({}, [im[i][n_cols] for i in range(rank)])
-
-    nullspace = tuple(back_sub({f: 1}, None) for f in free_cols)
-    return LinearSolution(rank, particular, nullspace)
+    return LinearSolution(rank, tuple(null_vector(f) for f in range(n_cols)
+                                      if f not in pivot_cols))

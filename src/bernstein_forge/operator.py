@@ -352,10 +352,8 @@ def operator_combination(spec: OperatorSpec, samples) -> Polynomial:
     _check_arity(spec, samples)
     if not all(w.is_exact for w in spec.weights):
         raise ValueError("operator has enclosure weights; no exact combination")
-    out = Polynomial.zero()
-    for s, w, p in zip(samples, spec.weights, spec.basis.elements):
-        out = out + p.scale(as_rational(s) * w.lo)
-    return out
+    return Polynomial.combination([as_rational(s) * w.lo for s, w in zip(samples, spec.weights)],
+                                  spec.basis.elements)
 
 
 def evaluate_operator(spec: OperatorSpec, samples, x) -> Enclosure:
@@ -426,6 +424,6 @@ def structural_diagnostics(report: ExistenceReport) -> StructuralDiagnostics:
     c = tuple(s[k] / bk for k, bk in enumerate(beta))
     d = tuple(-s[k + 1] / bk for k, bk in enumerate(beta))
     for k, num in enumerate(nums):
-        if num != qs[k].scale(c[k]) + qs[k + 1].scale(d[k]):
+        if num != Polynomial.combination((c[k], d[k]), qs[k:k + 2]):
             raise IdentityViolation(f"exact reconstruction mismatch at k={k}")
     return StructuralDiagnostics(report=report, c=c, d=d)

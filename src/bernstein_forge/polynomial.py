@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import DegreeTooLarge, NonExactDivision
@@ -204,6 +204,26 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def combination(cls, scalars, polys) -> "Polynomial":
+        """sum(c * p for c, p in zip(scalars, polys)), summed on integer
+        numerators over one common denominator."""
+        terms = []
+        for c, p in zip(scalars, polys):
+            c = as_rational(c)
+            if c and not p.is_zero:
+                den, nums = p._integer_form
+                terms.append((c.numerator, c.denominator * den, nums))
+        common = lcm(*(den for _, den, _ in terms))
+        acc = [0] * max((len(nums) for _, _, nums in terms), default=0)
+        for num, den, nums in terms:
+            factor = num * (common // den)
+            for i, v in enumerate(nums):
+                if v:
+                    acc[i] += factor * v
+        # Zero sums stay int 0: no Fraction(0, common) over a large common.
+        return cls(Fraction(v, common) if v else 0 for v in acc)
+
     def scale(self, scalar) -> "Polynomial":
         s = as_rational(scalar)
         return Polynomial(s * c for c in self._coeffs)
@@ -237,20 +257,28 @@ class Polynomial:
         acc = _homogeneous_horner(nums, u, v)
         return (acc > 0) - (acc < 0)
 
-    def root_order(self, x, limit: int) -> int:
-        """Order of the root of p at x (0 when p(x) != 0), counted up to limit.
+    def taylor_at(self, x, count: int) -> tuple:
+        """(p^(j)(x) / j! for j < count): the Taylor coefficients of p at x.
 
-        Reads the signs of p, p', p'', ... at x over integer numerators, so
-        it builds no derivative Polynomial; the zero polynomial gives limit.
+        Works on the integer numerators: those of p^(j) / j! are the ones
+        of p^(j-1) / (j-1)! differentiated and divided by j, which is exact
+        (they are D binom(i, j) c_i).  Each value is a homogeneous Horner sum.
         """
         x = as_rational(x)
         u, v = x.numerator, x.denominator
-        nums = self._integer_form[1]
-        order = 0
-        while order < limit and (not nums or _homogeneous_horner(nums, u, v) == 0):
-            order += 1
-            nums = [i * c for i, c in enumerate(nums) if i]
-        return order
+        den, nums = self._integer_form
+        out = []
+        for j in range(count):
+            if j:
+                nums = [i * c // j for i, c in enumerate(nums) if i]
+            out.append(Fraction(_homogeneous_horner(nums, u, v), den * v ** (len(nums) - 1))
+                       if nums else Fraction(0))
+        return tuple(out)
+
+    def root_order(self, x, limit: int) -> int:
+        """Order of the root of p at x (0 when p(x) != 0), counted up to limit:
+        the leading zeros of taylor_at(x, limit).  The zero polynomial gives limit."""
+        return next((j for j, t in enumerate(self.taylor_at(x, limit)) if t), limit)
 
     def derivative(self, order: int = 1) -> "Polynomial":
         p = self

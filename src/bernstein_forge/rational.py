@@ -63,11 +63,16 @@ def read_integer(digits: str, text: str | None = None) -> int:
 
 def integer_form(values) -> tuple:
     """(D, numerators): the least D > 0 making every D * v an integer, and
-    the list of those integers."""
+    the list of those integers.
+
+    Zeros and integers are skipped where they cost a big-integer operation:
+    a sparse polynomial of high degree has mostly zero coefficients.
+    """
     den = 1
     for v in values:
-        den = lcm(den, v.denominator)
-    return den, [v.numerator * (den // v.denominator) for v in values]
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
+    return den, [v.numerator * (den // v.denominator) if v else 0 for v in values]
 
 
 def format_rational(q: Fraction) -> str:

@@ -187,12 +187,14 @@ def descartes_root_free(p: Polynomial, a, b) -> bool:
     once their orders add up to V none is left for (a, b).  A root at 0 is
     not positive and is not counted.  For a < b <= 0 the same holds for
     p(-x) on [-b, -a], whose coefficients flip sign at odd degrees and
-    whose root orders at -b and -a are those of p at b and a.  An interval
-    with 0 inside, a count short of V, or the zero polynomial proves
-    nothing: False.
+    whose root orders at -b and -a are those of p at b and a.  For a < 0 < b
+    the interval is split at 0, which must not be a root.  A count short of
+    V, or the zero polynomial, proves nothing: False.
     """
-    if p.is_zero or a < 0 < b:
+    if p.is_zero:
         return False
+    if a < 0 < b:
+        return p.sign_at(0) != 0 and descartes_root_free(p, a, 0) and descartes_root_free(p, 0, b)
     mirrored = b <= 0
     signs = [(c > 0) != (mirrored and i % 2 == 1) for i, c in enumerate(p.coeffs) if c]
     budget = sum(s != t for s, t in zip(signs, signs[1:]))

@@ -371,6 +371,18 @@ class TestJointSizeLimit:
         assert done.stderr == (f"error: space of order 24 and top exponent {MAX_DEGREE} has "
                                f"n^2 e = {24 ** 2 * MAX_DEGREE}, above the maximum {MAX_SIZE}\n")
 
+    @pytest.mark.parametrize("n", [32, 16])
+    def test_exists_on_the_boundary_answers(self, n):
+        # [0..n-1, MAX_SIZE // n^2] over [1, 2] with (1, x): coordinates by a
+        # Bareiss solve over the top-exponent rows took 91.5 s at n = 32 and
+        # 11.1 s at n = 16; by forward substitution, under a second.
+        space = {"exponents": [*range(n), MAX_SIZE // n ** 2], "a": "1", "b": "2"}
+        problem = json.dumps({"space": space, "f0": "0:1", "f1": "1:1"})
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "bernstein_forge.cli", "exists", problem],
+                              capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == 0, done.stderr
+
 
 class TestDimensionCap:
     """A span of more than MAX_DIMENSION monomials is refused before its basis."""

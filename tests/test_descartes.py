@@ -2,10 +2,11 @@
 
 On an interval without 0 inside, Descartes' rule of signs proves a
 polynomial root-free once its endpoint root orders use up its sign
-variations; then one midpoint sample decides the verdict and no Sturm
-chain is built.  These tests pin that the certificate never changes a
-classification, that sympy's root count agrees wherever it decides, that
-the traps fall through to Sturm, and how many chains real problems build.
+variations; an interval with 0 inside is split there.  Then one midpoint
+sample decides the verdict and no Sturm chain is built.  These tests pin
+that the certificate never changes a classification, that sympy's root
+count agrees wherever it decides, that the traps fall through to Sturm,
+and how many chains real problems build.
 """
 
 import json
@@ -35,7 +36,6 @@ from bernstein_forge.sturm import (
     NONNEG_INTERIOR_ZEROS,
     NONPOS_INTERIOR_ZEROS,
     SIGN_CHANGING,
-    STRICTLY_POSITIVE,
 )
 
 X = Polynomial.monomial(1)
@@ -140,7 +140,10 @@ class TestTrapsFallThrough:
         assert cls.to_json() == sturm_only(p, 1, 2).to_json()
 
     def test_straddling_interval(self):
-        assert not sturm.descartes_root_free(Polynomial([1, 0, 1]), -1, 1)
+        # x^2 + 1 is root-free on (-1, 0) and (0, 1) and not 0 at 0: decided.
+        assert sturm.descartes_root_free(Polynomial([1, 0, 1]), -1, 1)
+        # x (x^2 + 1) vanishes at 0: the split proves nothing.
+        assert not sturm.descartes_root_free(X * Polynomial([1, 0, 1]), -1, 1)
 
 
 @pytest.fixture
@@ -174,11 +177,14 @@ class TestChainCount:
         assert chains == []
 
     def test_straddling_interval_builds_chains(self, chains):
-        basis = bernstein_basis(build_space(GAP, -1, 2))
-        assert basis.classifications[0].verdict == STRICTLY_POSITIVE
-        assert chains
+        # The middle element x - x^3 of [0, 1, 3] on [-1, 1] vanishes at 0,
+        # so the split at 0 cannot decide it and a chain is built.
+        basis = bernstein_basis(build_space([0, 1, 3], -1, 1))
+        assert basis.classifications[1].verdict == SIGN_CHANGING
+        assert basis.elements[1] in chains
 
-    @pytest.mark.parametrize("a, b", [("1", "2"), ("-2", "-1")], ids=["positive", "mirrored"])
+    @pytest.mark.parametrize("a, b", [("1", "2"), ("-2", "-1"), ("-1", "2")],
+                             ids=["positive", "mirrored", "straddling"])
     def test_high_degree_basis_answers_without_chains(self, a, b):
         # A process of its own, so a regression shows as a failed count (or
         # a timeout), not as a stalled test session.

@@ -51,6 +51,7 @@ from bernstein_forge.operator import (
 )
 from bernstein_forge.spaces import derived_numerator
 from test_acceptance import _structural_problems
+from test_linsolve import reference_coordinates
 from test_spaces import derived_reference, planted_problems
 
 ONE = Polynomial.one()
@@ -386,12 +387,12 @@ def window_solve_reference(prob):
     c = [Fraction(0)] * (n + 1)
     d = [Fraction(0)] * (n + 1)
     for k, p in enumerate(basis.elements):
-        vals = coordinates(derived_numerator(p, prob.f0), q[max(k - 1, 0):k + 1])
+        vals = reference_coordinates(derived_numerator(p, prob.f0), q[max(k - 1, 0):k + 1])
         if k >= 1:
             c[k] = vals[0]
         if k <= n - 1:
             d[k] = vals[-1]
-    return tuple(c), tuple(d), coordinates(derived_numerator(prob.f1, prob.f0), q)
+    return tuple(c), tuple(d), reference_coordinates(derived_numerator(prob.f1, prob.f0), q)
 
 
 def assert_matches_reference(prob):

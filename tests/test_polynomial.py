@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,22 @@ class TestRootOrder:
         assert p.root_order(0, 3) == 3
         assert p.root_order(0, 6) == 5
         assert p.root_order(1, 6) == 0
+
+
+class TestTaylorAndCombination:
+    @given(wide_polys, wide_rationals, st.integers(0, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_taylor_at_matches_derivatives(self, p, x, count):
+        assert p.taylor_at(x, count) == tuple(
+            reference_eval(p.derivative(j), x) / factorial(j) for j in range(count))
+
+    @given(st.lists(st.tuples(wide_rationals, wide_polys), max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_combination_matches_scaled_sum(self, terms):
+        expected = Polynomial.zero()
+        for c, p in terms:
+            expected = expected + p.scale(c)
+        assert Polynomial.combination([c for c, _ in terms], [p for _, p in terms]) == expected
 
 
 class TestDerivative:

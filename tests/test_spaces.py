@@ -34,6 +34,7 @@ from bernstein_forge import (
 from bernstein_forge.rational import format_rational
 from bernstein_forge.spaces import GRADE_POSITIVE, derived_numerator
 from bernstein_forge.sturm import classify_on_interval
+from test_linsolve import reference_coordinates
 
 X = Polynomial.monomial(1)
 ONE = Polynomial.one()
@@ -252,9 +253,11 @@ class TestCoordinates:
             coordinates(Polynomial.monomial(2), basis)
 
     def test_no_elements(self):
-        assert coordinates(Polynomial.zero(), []) == ()
+        # span{x^2} divided by f0 = x^2 is constant: the derived basis is empty.
+        derived = derived_of(build_space([2], 1, 2), Polynomial.monomial(2))
+        assert coordinates(Polynomial.zero(), derived) == ()
         with pytest.raises(NotInSpace):
-            coordinates(ONE, [])
+            coordinates(ONE, derived)
 
     def test_roundtrip_random_members(self):
         random.seed(11)
@@ -339,7 +342,7 @@ def greedy_generators(space, f0):
             independent.append(img)
             continue
         try:
-            coordinates(img, independent)
+            reference_coordinates(img, independent)
         except NotInSpace:
             independent.append(img)
     return independent
@@ -390,6 +393,47 @@ def spans_with_weights(draw):
         eps = draw(small_rationals(1, 8))
         f0 = Polynomial([m * m + eps, -2 * m, 1])
     return build_space(sorted(exps), a, b), f0
+
+
+def agreed_coordinates(f, basis):
+    """coordinates(f, basis), checked against the Bareiss reference: the
+    same vector, or None when both raise NotInSpace."""
+    try:
+        expected = reference_coordinates(f, basis.elements)
+    except NotInSpace:
+        with pytest.raises(NotInSpace):
+            coordinates(f, basis)
+        return None
+    assert coordinates(f, basis) == expected
+    return expected
+
+
+class TestCoordinatesAgainstReference:
+    @given(spans_with_weights(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_base_and_derived_bases(self, case, data):
+        space, f0 = case
+        coeffs = [0] * (space.exponents[-1] + 1)
+        for e in space.exponents:
+            coeffs[e] = data.draw(small_rationals(-9, 9))
+        f1 = Polynomial(coeffs)
+        m = data.draw(st.sampled_from(
+            [m for m in range(space.exponents[-1] + 2) if m not in space.exponents]))
+        primitive = bernstein_basis(space)
+        assume(not isinstance(primitive, NoBasisReport))
+        basis = normalize_when_possible(primitive)
+        for b in (primitive, basis):
+            assert agreed_coordinates(f0, b) is not None
+            assert agreed_coordinates(f1, b) is not None
+            assert (agreed_coordinates(ONE, b) is None) == (0 not in space.exponents)
+            assert agreed_coordinates(Polynomial.monomial(m), b) is None
+
+        beta = coordinates(f0, basis)
+        if all(bk > 0 for bk in beta):
+            derived = derived_space(basis, beta, f0)
+            assert agreed_coordinates(derived_numerator(f1, f0), derived) is not None
+            for f in (f0, f1, ONE):
+                agreed_coordinates(f, derived)
 
 
 def derived_reference(space, f0):
