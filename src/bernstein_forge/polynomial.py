@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from typing import Iterable
 
@@ -258,27 +259,32 @@ class Polynomial:
         return (acc > 0) - (acc < 0)
 
     def taylor_at(self, x, count: int) -> tuple:
-        """(p^(j)(x) / j! for j < count): the Taylor coefficients of p at x.
+        """(p^(j)(x) / j! for j < count): the Taylor coefficients of p at x."""
+        out = [Fraction(*pair) for pair in islice(self._taylor_pairs(x), count)]
+        return tuple(out + [Fraction(0)] * (count - len(out)))
+
+    def _taylor_pairs(self, x):
+        """Yield p^(j)(x) / j! as unreduced integer pairs for j = 0 .. degree.
 
         Works on the integer numerators: those of p^(j) / j! are the ones
         of p^(j-1) / (j-1)! differentiated and divided by j, which is exact
-        (they are D binom(i, j) c_i).  Each value is a homogeneous Horner sum.
+        (they are D binom(i, j) c_i).  Each value is a homogeneous Horner sum,
+        computed only when the consumer asks for it.
         """
-        x = as_rational(x)
-        u, v = x.numerator, x.denominator
+        u, v = as_rational(x).as_integer_ratio()
         den, nums = self._integer_form
-        out = []
-        for j in range(count):
-            if j:
-                nums = [i * c // j for i, c in enumerate(nums) if i]
-            out.append(Fraction(_homogeneous_horner(nums, u, v), den * v ** (len(nums) - 1))
-                       if nums else Fraction(0))
-        return tuple(out)
+        j = 0
+        while nums:
+            yield _homogeneous_horner(nums, u, v), den * v ** (len(nums) - 1)
+            j += 1
+            nums = [i * c // j for i, c in enumerate(nums) if i]
 
     def root_order(self, x, limit: int) -> int:
         """Order of the root of p at x (0 when p(x) != 0), counted up to limit:
-        the leading zeros of taylor_at(x, limit).  The zero polynomial gives limit."""
-        return next((j for j, t in enumerate(self.taylor_at(x, limit)) if t), limit)
+        the leading zeros of taylor_at(x, limit), computed only up to the
+        first non-zero one.  The zero polynomial gives limit."""
+        pairs = enumerate(islice(self._taylor_pairs(x), limit))
+        return next((j for j, (num, _) in pairs if num), limit)
 
     def derivative(self, order: int = 1) -> "Polynomial":
         p = self

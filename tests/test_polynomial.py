@@ -140,6 +140,18 @@ class TestRootOrder:
         expected = 9 if q.is_zero else min(k + extra, 9)
         assert p.root_order(r, 9) == expected
 
+    @given(wide_polys, rationals, st.integers(0, 4), st.integers(0, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_leading_zeros_of_the_taylor_coefficients(self, q, r, k, limit):
+        # The definition: root_order stops at the first non-zero coefficient
+        # but must count what all `limit` coefficients would give.
+        p = q
+        for _ in range(k):
+            p = p * Polynomial([-r, 1])
+        taylor = p.taylor_at(r, limit)
+        expected = next((j for j, t in enumerate(taylor) if t), limit)
+        assert p.root_order(r, limit) == expected
+
     def test_count_stops_at_the_limit(self):
         p = Polynomial.monomial(5)
         assert p.root_order(0, 3) == 3
