@@ -1,14 +1,22 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals, in one integer form.
 
-Coefficients are stored densely, index = monomial degree, trailing zeros
-trimmed.  The zero polynomial has an empty coefficient tuple and degree
-``-inf`` so that degree comparisons are never ambiguous.
+A polynomial sum(c_i x^i) is stored as integer numerators n_i over one
+denominator D > 0, c_i = n_i / D, index = monomial degree.  The form is
+canonical: D is the least such denominator, so gcd(D, n_0, ..., n_d) = 1,
+and trailing zeros are trimmed.  Equality and hashing compare it directly.
+The zero polynomial has no numerators, D = 1, and degree ``-inf`` so that
+degree comparisons are never ambiguous.
 
-Evaluation and sign tests run fraction-free: each polynomial caches one
-common denominator D > 0 with integer numerators, and p(u/v) is the
-homogeneous Horner sum over Python ints divided by D v^d at the end.
-`sign_at_pair(u, v)` reads the sign of p(u/v) from that sum, with u/v
-not necessarily in lowest terms.
+Fractions appear only at the edges.  The constructor, `monomial` and
+`from_sparse` read rationals in; `coeffs`, `coeff` and `leading` are
+Fraction views built on demand.  Arithmetic works on the numerators, and
+every result is reduced once, by gcd(D, *numerators), in `_form`.
+Evaluation is fraction-free: p(u/v) is the homogeneous Horner sum over
+Python ints divided by D v^d, one Fraction at the end, and
+`sign_at_pair(u, v)` reads the sign of p(u/v) from that sum, with u/v not
+necessarily in lowest terms.  Long division alone runs over Fractions,
+and `%` builds only the remainder: the least common denominator of a
+quotient it would discard can be huge.
 
 Degrees are capped at MAX_DEGREE: a dense polynomial stores one
 coefficient per degree, so a sparse text such as "1000000000:1" would
@@ -64,17 +72,59 @@ def _homogeneous_horner(nums: list, u: int, v: int) -> int:
     return acc
 
 
-class Polynomial:
-    """Immutable dense polynomial with Fraction coefficients."""
+def _form(den: int, nums: list) -> "Polynomial":
+    """The polynomial sum(nums[i] x^i) / den for den > 0, in canonical form.
 
-    __slots__ = ("_coeffs", "_den", "_nums")
+    Every arithmetic result is built here: trailing zeros are trimmed (in
+    place) and the pair is reduced by gcd(den, *nums).
+    """
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [c // g for c in nums]
+    p = object.__new__(Polynomial)
+    p._den, p._nums = den, nums
+    return p
+
+
+def _long_division(p: "Polynomial", d: "Polynomial") -> tuple:
+    """(q, r): the numerators of p are q times those of d plus r, with
+    len(r) = deg d, as lists of ints and Fractions.
+
+    Then p = (q D_d / D_p) d + r / D_p, where D_p and D_d are the
+    denominators; `div_exact` builds the quotient, `%` only the remainder.
+    """
+    if d.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p._nums)
+    divisor = d._nums
+    dd = len(divisor) - 1
+    lead = Fraction(divisor[-1])
+    q = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - dd - 1, -1, -1):
+        factor = rem[i + dd] / lead
+        if factor == 0:
+            continue
+        q[i] = factor
+        for j, c in enumerate(divisor):
+            rem[i + j] -= factor * c
+    return q, rem[:dd]
+
+
+class Polynomial:
+    """Immutable dense polynomial over the rationals: integer numerators
+    over their least positive common denominator (see the module notes)."""
+
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
-        self._nums = None  # integer form, built on first use by _integer_form
+        den, nums = integer_form([as_rational(c) for c in coeffs])
+        while nums and not nums[-1]:
+            nums.pop()
+        # Reduced coefficients leave gcd(den, *nums) = 1; zeros have den 1.
+        self._den, self._nums = den, nums
 
     # -- construction ------------------------------------------------------
 
@@ -89,9 +139,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "Polynomial":
         c = as_rational(coeff)
-        if c == 0:
-            return cls.zero()
-        return cls((0,) * degree + (c,))
+        return _form(c.denominator, [0] * degree + [c.numerator])
 
     @classmethod
     def from_sparse(cls, text: str) -> "Polynomial":
@@ -104,9 +152,6 @@ class Polynomial:
         degree above MAX_DEGREE by DegreeTooLarge.  The empty string and
         ``"0:0"`` both denote the zero polynomial.
         """
-        text = text.strip()
-        if not text:
-            return cls.zero()
         coeffs: dict[int, Fraction] = {}
         for chunk in text.split(","):
             chunk = chunk.strip()
@@ -124,83 +169,69 @@ class Polynomial:
             if deg in coeffs:
                 raise ValueError(f"duplicate degree {deg} in sparse polynomial")
             coeffs[deg] = as_rational(coef_s)
-        if not coeffs:
-            return cls.zero()
-        top = max(coeffs)
-        return cls(coeffs.get(i, 0) for i in range(top + 1))
+        return cls(coeffs.get(i, 0) for i in range(max(coeffs, default=-1) + 1))
 
     def to_sparse(self) -> str:
-        if self.is_zero:
-            return "0:0"
+        den = self._den
         return ",".join(
-            f"{i}:{format_rational(c)}" for i, c in enumerate(self._coeffs) if c != 0
-        )
+            f"{i}:{format_rational(Fraction(c, den))}" for i, c in enumerate(self._nums) if c
+        ) or "0:0"
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def form(self) -> tuple:
+        """(D, numerators): the stored integer form, numerators lowest
+        degree first.  The list is the polynomial's own: not to be mutated."""
+        return self._den, self._nums
+
+    @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._nums)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     @property
     def degree(self):
         """Degree of the polynomial; -inf for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else _NEG_INF
+        return len(self._nums) - 1 if self._nums else _NEG_INF
 
     def coeff(self, k: int) -> Fraction:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else Fraction(0)
+        return Fraction(self._nums[k], self._den) if 0 <= k < len(self._nums) else Fraction(0)
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._nums[-1], self._den)
 
     def support(self) -> tuple:
-        return tuple(i for i, c in enumerate(self._coeffs) if c != 0)
-
-    @property
-    def _integer_form(self) -> tuple:
-        """(D, numerators): the least D > 0 making every D * c an integer.
-
-        Kept as a slot pair holding a list, not as tuples: short tuples
-        outlive their polynomial on the interpreter's tuple free lists.
-        """
-        if self._nums is None:
-            self._den, self._nums = integer_form(self._coeffs)
-        return self._den, self._nums
+        return tuple(i for i, c in enumerate(self._nums) if c)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial(
-            (a[i] + b[i] if i < len(b) else a[i]) for i in range(len(a))
-        )
+        return Polynomial.combination((1, 1), (self, other))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return Polynomial.combination((1, -1), (self, other))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self._coeffs)
+        return _form(self._den, [-c for c in self._nums])
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             if self.is_zero or other.is_zero:
                 return Polynomial.zero()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            out = [0] * (len(self._nums) + len(other._nums) - 1)
+            for i, a in enumerate(self._nums):
+                if a:
+                    for j, b in enumerate(other._nums):
+                        out[i + j] += a * b
+            return _form(self._den * other._den, out)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -212,9 +243,8 @@ class Polynomial:
         terms = []
         for c, p in zip(scalars, polys):
             c = as_rational(c)
-            if c and not p.is_zero:
-                den, nums = p._integer_form
-                terms.append((c.numerator, c.denominator * den, nums))
+            if c and p._nums:
+                terms.append((c.numerator, c.denominator * p._den, p._nums))
         common = lcm(*(den for _, den, _ in terms))
         acc = [0] * max((len(nums) for _, _, nums in terms), default=0)
         for num, den, nums in terms:
@@ -222,12 +252,11 @@ class Polynomial:
             for i, v in enumerate(nums):
                 if v:
                     acc[i] += factor * v
-        # Zero sums stay int 0: no Fraction(0, common) over a large common.
-        return cls(Fraction(v, common) if v else 0 for v in acc)
+        return _form(common, acc)
 
     def scale(self, scalar) -> "Polynomial":
         s = as_rational(scalar)
-        return Polynomial(s * c for c in self._coeffs)
+        return _form(s.denominator * self._den, [s.numerator * c for c in self._nums])
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation by fraction-free Horner; one Fraction at the end."""
@@ -235,12 +264,12 @@ class Polynomial:
 
     def ratio_at(self, x) -> tuple:
         """p(x) as an unreduced integer pair (num, den) with den > 0."""
-        den, nums = self._integer_form
+        nums = self._nums
         if not nums:
             return 0, 1
         x = as_rational(x)
         v = x.denominator
-        return _homogeneous_horner(nums, x.numerator, v), den * v ** (len(nums) - 1)
+        return _homogeneous_horner(nums, x.numerator, v), self._den * v ** (len(nums) - 1)
 
     def sign_at(self, x) -> int:
         """Exact sign of p(x) (-1, 0 or 1), without building the value."""
@@ -250,12 +279,9 @@ class Polynomial:
     def sign_at_pair(self, u: int, v: int) -> int:
         """Exact sign of p(u/v) for integers u and v > 0; u/v need not be
         reduced, so a caller can keep a running pair without a gcd."""
-        nums = self._nums
-        if nums is None:  # read the slot first: one call less on the hot path
-            nums = self._integer_form[1]
-        if not nums:
+        if not self._nums:
             return 0
-        acc = _homogeneous_horner(nums, u, v)
+        acc = _homogeneous_horner(self._nums, u, v)
         return (acc > 0) - (acc < 0)
 
     def taylor_at(self, x, count: int) -> tuple:
@@ -272,54 +298,52 @@ class Polynomial:
         computed only when the consumer asks for it.
         """
         u, v = as_rational(x).as_integer_ratio()
-        den, nums = self._integer_form
+        den, nums = self._den, self._nums
         j = 0
         while nums:
             yield _homogeneous_horner(nums, u, v), den * v ** (len(nums) - 1)
             j += 1
             nums = [i * c // j for i, c in enumerate(nums) if i]
 
+    def order_and_sign(self, x, limit: int) -> tuple:
+        """(k, s): the index k < limit of the first non-zero Taylor
+        coefficient of p at x and its sign s, computed only up to it, or
+        (limit, 0) when the first limit coefficients are all zero.
+
+        k is the order of the root of p at x (0 when p(x) != 0), and s the
+        sign of p just right of x.
+        """
+        for j, (num, _) in enumerate(islice(self._taylor_pairs(x), limit)):
+            if num:
+                return j, (num > 0) - (num < 0)
+        return limit, 0
+
     def root_order(self, x, limit: int) -> int:
         """Order of the root of p at x (0 when p(x) != 0), counted up to limit:
-        the leading zeros of taylor_at(x, limit), computed only up to the
-        first non-zero one.  The zero polynomial gives limit."""
-        pairs = enumerate(islice(self._taylor_pairs(x), limit))
-        return next((j for j, (num, _) in pairs if num), limit)
+        the leading zeros of taylor_at(x, limit).  The zero polynomial gives
+        limit."""
+        return self.order_and_sign(x, limit)[0]
 
     def derivative(self, order: int = 1) -> "Polynomial":
         p = self
         for _ in range(order):
-            p = Polynomial(i * c for i, c in enumerate(p._coeffs) if i > 0)
+            p = _form(p._den, [i * c for i, c in enumerate(p._nums) if i])
         return p
-
-    def divrem(self, d: "Polynomial") -> tuple:
-        """Exact quotient/remainder with rational coefficients."""
-        if d.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dd = len(d._coeffs) - 1
-        lead = d._coeffs[-1]
-        q = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            factor = rem[i + dd] / lead
-            if factor == 0:
-                continue
-            q[i] = factor
-            for j, dc in enumerate(d._coeffs):
-                rem[i + j] -= factor * dc
-        return Polynomial(q), Polynomial(rem[:dd])
 
     def div_exact(self, d: "Polynomial") -> "Polynomial":
         """Quotient q with self = q * d; raises NonExactDivision otherwise."""
-        q, r = self.divrem(d)
-        if not r.is_zero:
+        q, r = _long_division(self, d)
+        if any(r):
             raise NonExactDivision(
-                f"remainder {r.to_sparse()} dividing {self.to_sparse()} by {d.to_sparse()}"
+                f"remainder {(self % d).to_sparse()} dividing {self.to_sparse()} "
+                f"by {d.to_sparse()}"
             )
-        return q
+        den, nums = integer_form(q)
+        return _form(den * self._den, [c * d._den for c in nums])
 
     def __mod__(self, d: "Polynomial") -> "Polynomial":
-        return self.divrem(d)[1]
+        den, nums = integer_form(_long_division(self, d)[1])
+        return _form(den * self._den, nums)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
@@ -333,21 +357,18 @@ class Polynomial:
         """
         if self.is_zero:
             return self
-        nums = self._integer_form[1]
-        content = 0
-        for v in nums:
-            content = gcd(content, v)
-        return Polynomial(v // content for v in nums)
+        content = gcd(*self._nums)
+        return _form(1, [c // content for c in self._nums])
 
     # -- comparisons / misc ------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._den, *self._nums))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_sparse()!r})"

@@ -46,9 +46,7 @@ class SturmChain:
 
     def variations(self, x) -> int:
         x = as_rational(x)
-        signs = [p.sign_at(x) for p in self.sequence]
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return _variations(p.sign_at(x) for p in self.sequence)
 
     def open_count(self, lo, hi) -> int:
         """Number of distinct roots of sequence[0] in the open (lo, hi)."""
@@ -239,7 +237,7 @@ def bernstein_variations(p: Polynomial, a, b) -> int:
     """
     a, b = (b, a) if b == 0 else (a, b)
     den, (u, v) = integer_form((as_rational(a), as_rational(b)))
-    nums = integer_form(p.coeffs)[1]
+    nums = p.form[1]
     d = len(nums) - 1
     cs = [c * den ** (d - i) for i, c in enumerate(nums)]
     if u:
@@ -268,23 +266,31 @@ def descartes_root_free(p: Polynomial, a, b) -> bool:
        happens when p has roots outside [a, b] on the same side of 0, and
        p has degree at most BERNSTEIN_MAX_DEGREE, `bernstein_variations`
        counts the variations of p on (a, b) alone; 0 proves it root-free.
+       It is skipped when p has opposite signs just inside a and just
+       inside b, which proves a root.  Those signs come from the first
+       non-zero Taylor coefficient at each end, which stage 1's root orders
+       walk to: its sign just right of the end, times (-1)^order just left
+       of it.  At an end 0, which the split leaves only where p(0) != 0,
+       it is the sign of p(0).
 
-    Endpoint orders short of V with a positive Bernstein count, or with no
-    count above the bound, prove nothing, and neither does the zero
-    polynomial: False.
+    Endpoint orders short of V with a positive Bernstein count, a sign
+    change, or no count above the bound prove nothing, and neither does
+    the zero polynomial: False.
     """
     if p.is_zero:
         return False
     if a < 0 < b:
         return p.sign_at(0) != 0 and descartes_root_free(p, a, 0) and descartes_root_free(p, 0, b)
-    mirrored = b <= 0
-    budget = _variations(-c if mirrored and i % 2 else c for i, c in enumerate(p.coeffs) if c)
-    for end in (a, b):
-        if end != 0 and budget > 0:
-            budget -= p.root_order(end, budget)
-    if budget > 0 and p.degree <= BERNSTEIN_MAX_DEGREE:
+    nums = p.form[1]
+    budget = _variations(-c if b <= 0 and i % 2 else c for i, c in enumerate(nums) if c)
+    inside = 1  # the sign of p just inside a times that just inside b; 0 if unknown
+    for end, side in ((a, 1), (b, -1)):
+        order, s = p.order_and_sign(end, budget) if end else (0, nums[0])
+        budget -= order
+        inside *= s * side**order
+    if budget and inside >= 0 and p.degree <= BERNSTEIN_MAX_DEGREE:
         budget = bernstein_variations(p, a, b)
-    return budget <= 0
+    return budget == 0
 
 
 def classify_on_interval(p: Polynomial, a, b) -> SignClassification:
@@ -354,7 +360,7 @@ def rational_root_in(p: Polynomial, enc: Enclosure) -> Enclosure:
     """
     if enc.is_exact:
         return enc
-    n = int(abs(p.primitive().leading))
+    n = abs(p.primitive().form[1][-1])
     fine = bisect_root(p, enc.lo, enc.hi, Fraction(1, 2 * n * n))
     if fine.is_exact:
         return fine

@@ -234,6 +234,41 @@ class TestDegreeBound:
         assert transform.call_count == calls
 
 
+class TestSignChangeBeforeTheTransform:
+    """Opposite signs of p just inside the two ends prove a root, so the
+    Bernstein transform is skipped; the signs come from the first non-zero
+    Taylor coefficient at each end, or from p(0) at an end 0."""
+
+    @pytest.mark.parametrize("p, a, b, free, transforms", [
+        (linear(Fraction(3, 2)) * linear(5), 1, 2, False, 0),
+        (linear(Fraction(-3, 2)) * linear(-5), -2, -1, False, 0),
+        (linear(Fraction(1, 2)) * linear(3), 0, 1, False, 0),
+        (linear(Fraction(-1, 2)) * linear(-3), -1, 0, False, 0),
+        (power(linear(1), 2) * linear(Fraction(3, 2)) * linear(5), 1, 2, False, 0),
+        (power(linear(2), 2) * linear(Fraction(3, 2)) * linear(5), 1, 2, False, 0),
+        (power(linear(2), 3) * linear(Fraction(3, 2)) * linear(5), 1, 2, False, 0),
+        # Same signs at both ends: the transform decides, either way.
+        (power(linear(2), 3) * linear(5), 1, 2, True, 1),
+        (linear(1) * linear(2) * power(Polynomial([-3, 2]), 2), 1, 2, False, 1),
+    ], ids=["plain", "mirrored", "end-0-right", "end-0-left", "double-root-at-a",
+            "double-root-at-b", "triple-root-at-b", "root-free", "double-root-inside"])
+    def test_transforms_run(self, p, a, b, free, transforms):
+        with mock.patch.object(sturm, "bernstein_variations",
+                               wraps=sturm.bernstein_variations) as transform:
+            assert sturm.descartes_root_free(p, a, b) == free
+        assert transform.call_count == transforms
+
+    def test_sign_changing_element_of_degree_2000(self):
+        # Element 1 of [0, 1, 3, 2000] on [-1, 1]: the endpoint count decides
+        # (-1, 0) and falls short on (0, 1), where p(0) < 0 and p is positive
+        # just left of its double root at 1.
+        p = Polynomial.from_sparse("0:-1,1:1000,3:-1000,2000:1")
+        with mock.patch.object(sturm, "bernstein_variations",
+                               wraps=sturm.bernstein_variations) as transform:
+            assert not sturm.descartes_root_free(p, -1, 1)
+        assert transform.call_count == 0
+
+
 class TestTrapsFallThrough:
     def test_root_at_zero_is_not_counted(self):
         # x (2x - 1): one variation, and the root at 0 is not positive.

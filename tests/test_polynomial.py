@@ -1,11 +1,16 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernstein_forge import MAX_DEGREE, DegreeTooLarge, NonExactDivision, Polynomial
+from bernstein_forge import MAX_DEGREE, DegreeTooLarge, NonExactDivision, Polynomial, cli, polynomial
 from bernstein_forge.rational import integer_form, sign
 
 
@@ -256,3 +261,179 @@ class TestRepresentation:
     def test_primitive_clears_denominators(self):
         p = Polynomial.from_sparse("0:1/2,1:3/4")
         assert p.primitive() == Polynomial.from_sparse("0:2,1:3")
+
+
+# -- the integer form against Fraction-coefficient references ----------------
+#
+# The loops below are the Fraction arithmetic that `Polynomial` ran before it
+# stored only integer numerators over one denominator.  They work on tuples
+# of Fractions, lowest degree first, trailing zeros trimmed.
+
+def ref_trim(cs) -> tuple:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    return ref_trim((a[i] + b[i] if i < len(b) else a[i]) for i in range(len(a)))
+
+
+def ref_neg(a) -> tuple:
+    return ref_trim(-c for c in a)
+
+
+def ref_sub(a, b) -> tuple:
+    return ref_add(a, ref_neg(b))
+
+
+def ref_mul(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_scale(a, s) -> tuple:
+    return ref_trim(Fraction(s) * c for c in a)
+
+
+def ref_derivative(a) -> tuple:
+    return ref_trim(i * c for i, c in enumerate(a) if i > 0)
+
+
+def ref_primitive(a) -> tuple:
+    if not a:
+        return ()
+    den = lcm(*(c.denominator for c in a))
+    nums = [int(c * den) for c in a]
+    content = gcd(*nums)
+    return ref_trim(v // content for v in nums)
+
+
+def ref_divrem(a, d) -> tuple:
+    rem = list(a)
+    dd = len(d) - 1
+    lead = d[-1]
+    q = [Fraction(0)] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - dd - 1, -1, -1):
+        factor = rem[i + dd] / lead
+        if factor == 0:
+            continue
+        q[i] = factor
+        for j, dc in enumerate(d):
+            rem[i + j] -= factor * dc
+    return ref_trim(q), ref_trim(rem[:dd])
+
+
+def assert_canonical(p):
+    den, nums = p.form
+    assert den > 0 and gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
+    assert p.coeffs == tuple(Fraction(c, den) for c in nums)
+
+
+nonzero_polys = wide_polys.filter(lambda p: not p.is_zero)
+
+
+class TestIntegerForm:
+    @given(st.lists(wide_rationals, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_constructor_builds_the_canonical_form(self, cs):
+        p = Polynomial(cs)
+        assert_canonical(p)
+        assert p.coeffs == ref_trim(cs)
+
+    @given(wide_polys, wide_polys, wide_rationals)
+    @settings(max_examples=150, deadline=None)
+    def test_arithmetic_matches_the_fraction_reference(self, p, q, c):
+        a, b = p.coeffs, q.coeffs
+        for got, expected in [
+            (p + q, ref_add(a, b)),
+            (p - q, ref_sub(a, b)),
+            (-p, ref_neg(a)),
+            (p * q, ref_mul(a, b)),
+            (p.scale(c), ref_scale(a, c)),
+            (p.derivative(), ref_derivative(a)),
+            (p.derivative(2), ref_derivative(ref_derivative(a))),
+            (p.primitive(), ref_primitive(a)),
+            (Polynomial.combination((c, 1), (p, q)), ref_add(ref_scale(a, c), b)),
+        ]:
+            assert_canonical(got)
+            assert got.coeffs == expected
+
+    @given(wide_polys, nonzero_polys, wide_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_division_matches_the_fraction_reference(self, q, d, r):
+        for p in (q * d, q * d + r):
+            quotient, remainder = ref_divrem(p.coeffs, d.coeffs)
+            got = p % d
+            assert_canonical(got)
+            assert got.coeffs == remainder
+            if remainder:
+                with pytest.raises(NonExactDivision):
+                    p.div_exact(d)
+            else:
+                got = p.div_exact(d)
+                assert_canonical(got)
+                assert got.coeffs == quotient
+
+    @given(wide_polys, wide_polys, wide_rationals.filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_exactly_when_the_forms_are(self, p, q, c):
+        for other in (q, Polynomial(p.coeffs), p.scale(c).scale(1 / c), (p - q) + q,
+                      Polynomial.combination((c, -c, 1), (q, q, p))):
+            same_form = p.form == other.form
+            assert (p == other) == same_form == (p.coeffs == other.coeffs)
+            if p == other:
+                assert hash(p) == hash(other)
+
+    def test_zero_has_denominator_one(self):
+        for z in (Polynomial.zero(), Polynomial([Fraction(1, 3)]).scale(0),
+                  Polynomial([Fraction(1, 3), 1]) - Polynomial([Fraction(1, 3), 1])):
+            assert z.form == (1, [])
+            assert z == Polynomial.zero() and hash(z) == hash(Polynomial.zero())
+
+    def test_views_are_fractions(self):
+        p = Polynomial.from_sparse("0:1/6,2:-3/4")
+        assert p.form == (12, [2, 0, -9])
+        assert p.coeffs == (Fraction(1, 6), Fraction(0), Fraction(-3, 4))
+        assert p.leading == Fraction(-3, 4) and p.coeff(1) == 0 and p.coeff(7) == 0
+
+
+def test_remainders_build_no_quotient(monkeypatch):
+    """`%` brings only the remainder to the integer form.  The quotient it
+    discards has up to deg p coefficients over powers of d's leading
+    coefficient: paying for their least common denominator once took
+    span{1, x, x^800} from 3.5 to 308 s."""
+    p = Polynomial.monomial(800) + Polynomial([1, 1])
+    d = Polynomial([3, 2**64 + 1])
+    converted = []
+    original = polynomial.integer_form
+    monkeypatch.setattr(polynomial, "integer_form",
+                        lambda values: converted.append(len(values)) or original(values))
+    assert (p % d).degree == 0
+    assert converted == [1]
+
+
+def test_degree_2000_chains_answer():
+    """`basis` of [0, 1, 3, 2000] on [-1, 1] builds two Sturm chains of
+    degree 2000, whose remainders discard long quotients; it answers in
+    about 1 s, in a process of its own so that a hang fails the test."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    code = "import sys\nfrom bernstein_forge import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "basis",
+         json.dumps({"exponents": [0, 1, 3, 2000], "a": "-1", "b": "1"})],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("sign-changing") == 2
