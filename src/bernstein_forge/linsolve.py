@@ -4,43 +4,51 @@ The library solves only homogeneous systems: a Bernstein basis element is
 the null vector of its vanishing conditions.  Rows are scaled to integers
 first; the Bareiss update keeps every intermediate entry an integer minor
 of the input, which bounds coefficient blow-up compared with naive
-rational elimination.  Null vectors are extracted by back substitution
-over Fractions, so the results are exact.
+rational elimination.  Null vectors come by back substitution on integers:
+scaled by a pivot minor, each is an integer vector by Cramer's rule, so
+every division is exact and no Fraction is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import IdentityViolation
-from .rational import as_rational, integer_form
+from .rational import integer_form
 
 
 @dataclass(frozen=True)
 class LinearSolution:
     rank: int
-    nullspace: tuple  # tuple of coordinate tuples, one per free column
+    nullspace: tuple  # tuple of integer coordinate tuples, one per free column
     particular: None = None  # no particular solve; perfbench/tracing.py still reads it
 
 
-def solve_linear(matrix: Sequence[Sequence]) -> LinearSolution:
-    """Rank and a basis of the null space of matrix, exactly.
+def _exact_quotient(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise IdentityViolation("inexact division in fraction-free elimination")
+    return q
 
-    Null vector i sets free column i to 1 and the other free columns to 0.
+
+def solve_linear(matrix: Sequence[Sequence]) -> LinearSolution:
+    """Rank and a basis of the null space of matrix (rows of ints and
+    Fractions), exactly, as integer vectors.
+
+    Null vector i sets free column f_i to |D|, where D is the leading minor
+    of the pivot columns left of f_i (1 when there are none), and the other
+    free columns to 0.  It is the positive multiple by |D| of the vector
+    whose free entry is 1.
     """
-    n_rows = len(matrix)
-    n_cols = len(matrix[0]) if n_rows else 0
-    rows = []
-    for i in range(n_rows):
-        row = [as_rational(x) for x in matrix[i]]
+    n_cols = len(matrix[0]) if matrix else 0
+    im = []
+    for row in matrix:
         if len(row) != n_cols:
             raise ValueError("ragged matrix")
-        rows.append(row)
-
-    # Row-wise clear denominators: integer matrix, same solution set.
-    im = [integer_form(row)[1] for row in rows]
+        # Row-wise clear denominators: integer matrix, same solution set.
+        im.append(integer_form(row)[1])
+    n_rows = len(im)
 
     pivot_cols = []
     r = 0
@@ -50,18 +58,15 @@ def solve_linear(matrix: Sequence[Sequence]) -> LinearSolution:
         if pr is None:
             continue
         im[r], im[pr] = im[pr], im[r]
-        for i in range(r + 1, n_rows):
-            mic = im[i][c]
-            for j in range(n_cols):
-                if j == c:
-                    continue
-                num = im[i][j] * im[r][c] - mic * im[r][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise IdentityViolation("Bareiss divisibility violated")
-                im[i][j] = q
-            im[i][c] = 0
-        prev = im[r][c]
+        top = im[r]
+        pivot = top[c]
+        # Entries left of column c are already zero in rows r and below.
+        for row in im[r + 1:]:
+            mic = row[c]
+            for j in range(c + 1, n_cols):
+                row[j] = _exact_quotient(row[j] * pivot - mic * top[j], prev)
+            row[c] = 0
+        prev = pivot
         pivot_cols.append(c)
         r += 1
         if r == n_rows:
@@ -69,15 +74,17 @@ def solve_linear(matrix: Sequence[Sequence]) -> LinearSolution:
     rank = r
 
     def null_vector(free: int) -> tuple:
-        x = [Fraction(0)] * n_cols
-        x[free] = Fraction(1)
-        for i in range(rank - 1, -1, -1):
+        # Pivots left of the free column; the leading minor of their columns
+        # is the pivot of the last of them.
+        t = sum(1 for pc in pivot_cols if pc < free)
+        minor = im[t - 1][pivot_cols[t - 1]] if t else 1
+        x = [0] * n_cols
+        x[free] = abs(minor)
+        for i in range(t - 1, -1, -1):
             pc = pivot_cols[i]
-            acc = Fraction(0)
-            for c in range(pc + 1, n_cols):
-                if im[i][c]:
-                    acc -= im[i][c] * x[c]
-            x[pc] = acc / im[i][pc]
+            row = im[i]
+            acc = -sum(row[c] * x[c] for c in range(pc + 1, free + 1) if row[c])
+            x[pc] = _exact_quotient(acc, row[pc])
         return tuple(x)
 
     return LinearSolution(rank, tuple(null_vector(f) for f in range(n_cols)

@@ -32,7 +32,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .errors import DegreeTooLarge, NonExactDivision
-from .rational import as_rational, format_rational, integer_form, read_integer
+from .rational import as_rational, format_rational, integer_form, read_integer, reduced_form
 
 # One "degree:coefficient" term; the coefficient is checked by as_rational.
 _SPARSE_TERM = re.compile(r"(\d+)\s*:(.*)", re.DOTALL)
@@ -239,10 +239,12 @@ class Polynomial:
     @classmethod
     def combination(cls, scalars, polys) -> "Polynomial":
         """sum(c * p for c, p in zip(scalars, polys)), summed on integer
-        numerators over one common denominator."""
+        numerators over one common denominator.  Integer scalars are used as
+        they are, with no Fraction built."""
         terms = []
         for c, p in zip(scalars, polys):
-            c = as_rational(c)
+            if not isinstance(c, int):
+                c = as_rational(c)
             if c and p._nums:
                 terms.append((c.numerator, c.denominator * p._den, p._nums))
         common = lcm(*(den for _, den, _ in terms))
@@ -284,24 +286,27 @@ class Polynomial:
         acc = _homogeneous_horner(self._nums, u, v)
         return (acc > 0) - (acc < 0)
 
-    def taylor_at(self, x, count: int) -> tuple:
-        """(p^(j)(x) / j! for j < count): the Taylor coefficients of p at x."""
-        out = [Fraction(*pair) for pair in islice(self._taylor_pairs(x), count)]
-        return tuple(out + [Fraction(0)] * (count - len(out)))
+    def taylor_form(self, x, count: int) -> tuple:
+        """(E, numerators): the Taylor coefficients p^(j)(x) / j! for j < count
+        as numerators[j] / E, over their least positive common denominator."""
+        u, v = as_rational(x).as_integer_ratio()
+        nums = [h * v ** j for j, h in enumerate(islice(self._taylor_numerators(u, v), count))]
+        nums += [0] * (count - len(nums))
+        return reduced_form(self._den * v ** max(len(self._nums) - 1, 0), nums)
 
-    def _taylor_pairs(self, x):
-        """Yield p^(j)(x) / j! as unreduced integer pairs for j = 0 .. degree.
+    def _taylor_numerators(self, u: int, v: int):
+        """Yield, for j = 0 .. degree, the integer h_j with p^(j)(x) / j! =
+        h_j / (D v^(degree - j)) at x = u/v, v > 0.
 
         Works on the integer numerators: those of p^(j) / j! are the ones
         of p^(j-1) / (j-1)! differentiated and divided by j, which is exact
-        (they are D binom(i, j) c_i).  Each value is a homogeneous Horner sum,
+        (they are D binom(i, j) c_i).  Each h_j is a homogeneous Horner sum,
         computed only when the consumer asks for it.
         """
-        u, v = as_rational(x).as_integer_ratio()
-        den, nums = self._den, self._nums
+        nums = self._nums
         j = 0
         while nums:
-            yield _homogeneous_horner(nums, u, v), den * v ** (len(nums) - 1)
+            yield _homogeneous_horner(nums, u, v)
             j += 1
             nums = [i * c // j for i, c in enumerate(nums) if i]
 
@@ -313,14 +318,15 @@ class Polynomial:
         k is the order of the root of p at x (0 when p(x) != 0), and s the
         sign of p just right of x.
         """
-        for j, (num, _) in enumerate(islice(self._taylor_pairs(x), limit)):
+        u, v = as_rational(x).as_integer_ratio()
+        for j, num in enumerate(islice(self._taylor_numerators(u, v), limit)):
             if num:
                 return j, (num > 0) - (num < 0)
         return limit, 0
 
     def root_order(self, x, limit: int) -> int:
         """Order of the root of p at x (0 when p(x) != 0), counted up to limit:
-        the leading zeros of taylor_at(x, limit).  The zero polynomial gives
+        the leading zeros of taylor_form(x, limit).  The zero polynomial gives
         limit."""
         return self.order_and_sign(x, limit)[0]
 

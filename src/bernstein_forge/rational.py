@@ -12,7 +12,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 _RATIONAL_TEXT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
@@ -73,6 +73,13 @@ def integer_form(values) -> tuple:
         if v.denominator != 1:
             den = lcm(den, v.denominator)
     return den, [v.numerator * (den // v.denominator) if v else 0 for v in values]
+
+
+def reduced_form(den: int, nums) -> tuple:
+    """(den, numerators) of the rationals n / den for den > 0, in lowest
+    terms: both divided by gcd(den, *nums)."""
+    g = gcd(den, *nums)
+    return den // g, tuple(c // g for c in nums)
 
 
 def format_rational(q: Fraction) -> str:

@@ -5,16 +5,19 @@ left endpoint and exactly n-k at the right endpoint.  Construction imposes
 the vanishing conditions as Taylor coefficients at the endpoints on the
 coefficient vector over the space's generators, which works uniformly for
 sparse exponent sets where factoring (x-a)^k would leave the span.  The
-same exact orders make the Taylor coefficients of a basis at a triangular,
-so coordinates come by forward substitution.
+tables of those Taylor coefficients are integer rows, and each element is
+an integer null vector of some of them, so a basis is built without
+Fractions.  The same exact orders make the Taylor coefficients of a basis
+at a triangular: the basis carries them (its jets, read off the table at
+a), and coordinates come by forward substitution on their numerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .errors import (
@@ -29,7 +32,7 @@ from .errors import (
 )
 from .linsolve import solve_linear
 from .polynomial import MAX_DEGREE, Polynomial, check_degree
-from .rational import as_rational, format_rational, sign
+from .rational import as_rational, format_rational, reduced_form, sign
 from .sturm import (
     NONNEG_INTERIOR_ZEROS,
     STRICTLY_POSITIVE,
@@ -47,11 +50,12 @@ DEGENERATE_SOLUTION_SPACE = "degenerate-solution-space"
 MAX_DIMENSION = 33  # the most monomials in a space; its basis costs O(n^4)
 
 # The largest n^2 e for a space of order n and top exponent e: that of
-# [0, 1, MAX_DEGREE].  On a 2-core Xeon under CPython 3.11, `bernstein-forge
-# basis` of [0..n-1, e] on [1, 2] at n^2 e = MAX_SIZE takes 2.0 s at n = 2
-# and at most 1.1 s for n = 3..32, where [0..23, 20000] ran over 300 s.
-# `bernstein-forge exists` on the same spans with (f0, f1) = (1, x) takes
-# 2.1 s at n = 2, 1.1 s at n = 3 and at most 0.9 s for n = 4..32.
+# [0, 1, MAX_DEGREE].  On a 2-core Xeon under CPython 3.11, as a CLI process,
+# `bernstein-forge basis` of [0..n-1, e] on [1, 2] at n^2 e = MAX_SIZE takes
+# 0.30 s at n = 2 and at most 0.21 s for n = 3..32, where [0..23, 20000] ran
+# over 300 s.  `bernstein-forge exists` on the same spans with (f0, f1) =
+# (1, x) takes 0.56 s at n = 2, 0.23 s at n = 3 and at most 0.27 s for
+# n = 4..32.
 MAX_SIZE = 4 * MAX_DEGREE
 
 
@@ -161,11 +165,19 @@ class NoBasisReport:
 
 @dataclass(frozen=True)
 class BernsteinBasis:
+    """Elements p_0..p_n with their sign verdicts on (a, b).
+
+    jets[k] is (E, numerators) with p_k^(j)(a) / j! = numerators[j] / E for
+    j = 0..n, in lowest terms: the first k numerators are zero and the next
+    is not, by construction.  Whatever builds a basis sets them.
+    """
+
     elements: tuple  # n + 1 Polynomials
     classifications: tuple  # per element SignClassification on (a, b)
     normalized: bool
     a: Fraction
     b: Fraction
+    jets: tuple
 
     @property
     def order(self) -> int:
@@ -176,12 +188,6 @@ class BernsteinBasis:
         """Per element (order at a, order at b): (k, n - k) by construction."""
         n = self.order
         return tuple((k, n - k) for k in range(n + 1))
-
-    @cached_property
-    def jets_at_a(self) -> tuple:
-        """Per element p_k, its Taylor coefficients at a of degrees 0..n;
-        the first k are zero and the next is not, by construction."""
-        return tuple(p.taylor_at(self.a, len(self.elements)) for p in self.elements)
 
     @property
     def positivity(self) -> str:
@@ -226,41 +232,58 @@ def basis_from_generators(generators, a, b) -> Union[BernsteinBasis, NoBasisRepo
     """
     a, b = as_rational(a), as_rational(b)
     n = len(generators) - 1
-    # Row j of each table: g^(j)(a) / j! (at b) over the generators g; the
-    # factor 1/j! leaves the null vectors of the rows unchanged.
-    at_a = list(zip(*(g.taylor_at(a, n + 1) for g in generators)))
-    at_b = list(zip(*(g.taylor_at(b, n + 1) for g in generators)))
+    at_a, gains, den_a = _taylor_table(generators, a, n + 1)
+    at_b = _taylor_table(generators, b, n + 1)[0]
 
     # From k = n down, so the first failure met is the highest failing
     # index: the refusal pinpoints the most constrained element.
-    elements = []
+    elements, jets = [], []
     for k in range(n, -1, -1):
         rows = at_a[:k] + at_b[:n - k]
-        if rows:
-            null = solve_linear(rows).nullspace
-        else:  # n == 0: no conditions, the space itself
-            null = ((Fraction(1),),)
+        null = solve_linear(rows).nullspace if rows else ((1,),)
         if len(null) != 1:
             return NoBasisReport(k, DEGENERATE_SOLUTION_SPACE, nullity=len(null))
         coords = null[0]
         p = Polynomial.combination(coords, generators)
         if p.is_zero:  # the null vector is a dependency among the generators
             raise ValueError("generators are linearly dependent")
-        # p^(k)(a) / k! and p^(n-k)(b) / (n-k)!, read from the tables.
+        # p^(j)(a) / j! for j >= k and p^(n-k)(b) / (n-k)!, read from the
+        # tables up to positive factors; those at a for j < k are zero.
         m = n - k
-        da = sum(c * v for c, v in zip(coords, at_a[k]))
+        dots = [sum(c * v for c, v in zip(coords, row)) for row in at_a[k:]]
         db = sum(c * v for c, v in zip(coords, at_b[m]))
-        if da == 0 or db == 0:
+        if dots[0] == 0 or db == 0:
             return NoBasisReport(
-                k, FORCED_EXTRA_ZERO, endpoint="a" if da == 0 else "b", witness=p.primitive()
+                k, FORCED_EXTRA_ZERO, endpoint="a" if dots[0] == 0 else "b", witness=p.primitive()
             )
         # Orient positive just inside b: sign there is that of db * (-1)^(n-k).
-        if sign(db) * (-1) ** m < 0:
-            p = -p
-        elements.append(p.primitive())
+        orient = sign(db) * (-1) ** m
+        den, nums = p.form  # p.primitive() is p times den / gcd(*nums)
+        elements.append(p.primitive() if orient > 0 else -p.primitive())
+        jets.append(reduced_form(den_a * gcd(*nums), [0] * k + [
+            orient * den * g * d for g, d in zip(gains[k:], dots)]))
     elements.reverse()
+    jets.reverse()
     classifications = tuple(classify_on_interval(p, a, b) for p in elements)
-    return BernsteinBasis(tuple(elements), classifications, normalized=False, a=a, b=b)
+    return BernsteinBasis(tuple(elements), classifications, normalized=False, a=a, b=b,
+                          jets=tuple(jets))
+
+
+def _taylor_table(generators, x, count: int) -> tuple:
+    """(rows, gains, D): rows[j][i] gains[j] / D = g_i^(j)(x) / j! for the
+    generators g_i and j < count, each row primitive.
+
+    Scaling a row by a positive number leaves its null vectors and the
+    signs of its dot products unchanged.
+    """
+    forms = [g.taylor_form(x, count) for g in generators]
+    den = lcm(*(e for e, _ in forms))
+    rows, gains = [], []
+    for row in zip(*([c * (den // e) for c in nums] for e, nums in forms)):
+        g = gcd(*row) or 1
+        rows.append([c // g for c in row])
+        gains.append(g)
+    return rows, gains, den
 
 
 def bernstein_basis(space: MonomialSpace) -> Union[BernsteinBasis, NoBasisReport]:
@@ -279,6 +302,8 @@ def normalize_partition_of_unity(basis: BernsteinBasis) -> BernsteinBasis:
         raise NonPositiveScalar(f"non-positive partition scalar in {scalars}")
     # Verdicts are invariant under scaling by c > 0.
     return replace(basis, elements=tuple(p.scale(c) for p, c in zip(basis.elements, scalars)),
+                   jets=tuple(reduced_form(den * c.denominator, [c.numerator * v for v in nums])
+                              for (den, nums), c in zip(basis.jets, scalars)),
                    normalized=True)
 
 
@@ -305,18 +330,25 @@ def coordinates(f: Polynomial, basis: BernsteinBasis) -> tuple:
 
     Element k has exact order k at a, so the Taylor coefficients at a of
     the elements form a lower-triangular matrix with a non-zero diagonal,
-    and forward substitution on those of f gives the only candidate.  One
-    exact check that the sum of c_k p_k is f decides membership.
+    and forward substitution on those of f gives the only candidate.  It
+    runs on the integer numerators of the jets over one running product of
+    the diagonal entries; each coordinate becomes a Fraction at the end.
+    One exact check that the sum of c_k p_k is f decides membership.
     """
-    jets = basis.jets_at_a
-    target = f.taylor_at(basis.a, len(jets))
-    coords = []
-    for i, own in enumerate(jets):
-        rest = sum(c * jet[i] for c, jet in zip(coords, jets))  # elements k < i
-        coords.append((target[i] - rest) / own[i])
+    jets = basis.jets
+    den, target = f.taylor_form(basis.a, len(jets))
+    # z_k = c_k den / E_k, the solution of sum_{k<=i} z_k jet_k[i] = target[i],
+    # is scaled[k] / prod, prod the product of the diagonal entries so far.
+    prod, scaled = 1, []
+    for i, (_, own) in enumerate(jets):
+        rest = sum(z * jet[i] for z, (_, jet) in zip(scaled, jets))  # elements k < i
+        scaled = [z * own[i] for z in scaled]
+        scaled.append(target[i] * prod - rest)
+        prod *= own[i]
+    coords = tuple(Fraction(z * e, prod * den) for z, (e, _) in zip(scaled, jets))
     if Polynomial.combination(coords, basis.elements) != f:
         raise NotInSpace(f"{f.to_sparse()} is not in the span")
-    return tuple(coords)
+    return coords
 
 
 def certify_positive_on_closed(p: Polynomial, a, b) -> bool:
@@ -356,5 +388,6 @@ def derived_space(basis: BernsteinBasis, beta, f0: Polynomial) -> BernsteinBasis
     tails = accumulate(p.scale(bk) for p, bk in zip(basis.elements[:0:-1], beta[:0:-1]))
     elements = [derived_numerator(s, f0).primitive() for s in tails][::-1]
     classifications = tuple(classify_on_interval(q, basis.a, basis.b) for q in elements)
-    return normalize_when_possible(
-        BernsteinBasis(tuple(elements), classifications, normalized=False, a=basis.a, b=basis.b))
+    jets = tuple(q.taylor_form(basis.a, len(elements)) for q in elements)
+    return normalize_when_possible(BernsteinBasis(
+        tuple(elements), classifications, normalized=False, a=basis.a, b=basis.b, jets=jets))

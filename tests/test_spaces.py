@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -29,12 +29,11 @@ from bernstein_forge import (
     derived_space,
     normalize_partition_of_unity,
     normalize_when_possible,
-    solve_linear,
 )
 from bernstein_forge.rational import format_rational
 from bernstein_forge.spaces import GRADE_POSITIVE, derived_numerator
 from bernstein_forge.sturm import classify_on_interval
-from test_linsolve import reference_coordinates
+from test_linsolve import reference_coordinates, reference_nullspace
 
 X = Polynomial.monomial(1)
 ONE = Polynomial.one()
@@ -436,6 +435,34 @@ class TestCoordinatesAgainstReference:
                 agreed_coordinates(f, derived)
 
 
+def taylor_reference(p, a, count):
+    """p^(j)(a) / j! = sum_i binom(i, j) c_i a^(i - j) for j < count, over Fractions."""
+    return tuple(sum((comb(i, j) * c * a ** (i - j) for i, c in enumerate(p.coeffs) if i >= j),
+                     Fraction(0)) for j in range(count))
+
+
+class TestCarriedJets:
+    @given(spans_with_weights())
+    @settings(max_examples=150, deadline=None)
+    def test_jets_are_the_elements_taylor_coefficients(self, case):
+        space, f0 = case
+        primitive = bernstein_basis(space)
+        assume(not isinstance(primitive, NoBasisReport))
+        bases = [primitive, normalize_when_possible(primitive)]
+        beta = coordinates(f0, bases[1])
+        if all(bk > 0 for bk in beta):
+            images = [derived_numerator(g, f0) for g in space.monomials() if g.degree != f0.degree]
+            by_solves = basis_from_generators(images, space.a, space.b)
+            bases += [derived_space(bases[1], beta, f0), by_solves,
+                      normalize_when_possible(by_solves)]
+        for basis in bases:
+            assert len(basis.jets) == len(basis.elements)
+            for (den, nums), p in zip(basis.jets, basis.elements):
+                assert den > 0 and gcd(den, *nums) == 1
+                assert tuple(Fraction(v, den) for v in nums) == taylor_reference(
+                    p, space.a, len(basis.elements))
+
+
 def derived_reference(space, f0):
     """Reference: the derived basis by null-space solves over the images of
     the monomials, all but the one of x^deg(f0)."""
@@ -541,7 +568,7 @@ def every_index_reference(space):
     elements, failures = [], []
     for k in range(n + 1):
         rows = at_a[:k] + at_b[:n - k]
-        null = solve_linear(rows).nullspace if rows else ((Fraction(1),),)
+        null = reference_nullspace(rows) if rows else ((Fraction(1),),)
         if len(null) != 1:
             failures.append({"index": k, "kind": "degenerate-solution-space",
                              "nullity": len(null)})
