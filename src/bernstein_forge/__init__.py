@@ -13,7 +13,6 @@ from .errors import (
     F0NotPositive,
     IdentityViolation,
     NoBracket,
-    NonExactDivision,
     NonPositiveScalar,
     NotInSpace,
     RatioNotMonotone,
@@ -61,7 +60,6 @@ from .sturm import (
     isolate_roots,
     rational_root_in,
     sturm_chain,
-    sturm_count,
 )
 
 __version__ = "0.1.0"

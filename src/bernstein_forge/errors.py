@@ -5,10 +5,6 @@ class BernsteinForgeError(Exception):
     """Base class for all library errors."""
 
 
-class NonExactDivision(BernsteinForgeError):
-    """Polynomial division left a nonzero remainder."""
-
-
 class ZeroPolynomial(BernsteinForgeError):
     """Operation undefined for the zero polynomial."""
 

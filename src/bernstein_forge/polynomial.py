@@ -14,9 +14,9 @@ every result is reduced once, by gcd(D, *numerators), in `_form`.
 Evaluation is fraction-free: p(u/v) is the homogeneous Horner sum over
 Python ints divided by D v^d, one Fraction at the end, and
 `sign_at_pair(u, v)` reads the sign of p(u/v) from that sum, with u/v not
-necessarily in lowest terms.  Long division alone runs over Fractions,
-and `%` builds only the remainder: the least common denominator of a
-quotient it would discard can be huge.
+necessarily in lowest terms.  The one division is `%`, whose loop alone
+runs over Fractions; it builds only the remainder, since the least common
+denominator of the quotient it discards can be huge.
 
 Degrees are capped at MAX_DEGREE: a dense polynomial stores one
 coefficient per degree, so a sparse text such as "1000000000:1" would
@@ -31,7 +31,7 @@ from itertools import islice
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import DegreeTooLarge, NonExactDivision
+from .errors import DegreeTooLarge
 from .rational import as_rational, format_rational, integer_form, read_integer, reduced_form
 
 # One "degree:coefficient" term; the coefficient is checked by as_rational.
@@ -87,30 +87,6 @@ def _form(den: int, nums: list) -> "Polynomial":
     p = object.__new__(Polynomial)
     p._den, p._nums = den, nums
     return p
-
-
-def _long_division(p: "Polynomial", d: "Polynomial") -> tuple:
-    """(q, r): the numerators of p are q times those of d plus r, with
-    len(r) = deg d, as lists of ints and Fractions.
-
-    Then p = (q D_d / D_p) d + r / D_p, where D_p and D_d are the
-    denominators; `div_exact` builds the quotient, `%` only the remainder.
-    """
-    if d.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p._nums)
-    divisor = d._nums
-    dd = len(divisor) - 1
-    lead = Fraction(divisor[-1])
-    q = [0] * max(len(rem) - dd, 0)
-    for i in range(len(rem) - dd - 1, -1, -1):
-        factor = rem[i + dd] / lead
-        if factor == 0:
-            continue
-        q[i] = factor
-        for j, c in enumerate(divisor):
-            rem[i + j] -= factor * c
-    return q, rem[:dd]
 
 
 class Polynomial:
@@ -324,37 +300,32 @@ class Polynomial:
                 return j, (num > 0) - (num < 0)
         return limit, 0
 
-    def root_order(self, x, limit: int) -> int:
-        """Order of the root of p at x (0 when p(x) != 0), counted up to limit:
-        the leading zeros of taylor_form(x, limit).  The zero polynomial gives
-        limit."""
-        return self.order_and_sign(x, limit)[0]
-
     def derivative(self, order: int = 1) -> "Polynomial":
         p = self
         for _ in range(order):
             p = _form(p._den, [i * c for i, c in enumerate(p._nums) if i])
         return p
 
-    def div_exact(self, d: "Polynomial") -> "Polynomial":
-        """Quotient q with self = q * d; raises NonExactDivision otherwise."""
-        q, r = _long_division(self, d)
-        if any(r):
-            raise NonExactDivision(
-                f"remainder {(self % d).to_sparse()} dividing {self.to_sparse()} "
-                f"by {d.to_sparse()}"
-            )
-        den, nums = integer_form(q)
-        return _form(den * self._den, [c * d._den for c in nums])
-
     def __mod__(self, d: "Polynomial") -> "Polynomial":
-        den, nums = integer_form(_long_division(self, d)[1])
-        return _form(den * self._den, nums)
+        """The remainder of long division by d, of degree below deg d.
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
+        The loop runs over the numerators: those of self are q times those
+        of d plus r, with len(r) = deg d, so self % d is r / D for D the
+        denominator of self.  Only r is brought to the integer form.
+        """
+        if d.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self._nums)
+        divisor = d._nums
+        dd = len(divisor) - 1
+        lead = Fraction(divisor[-1])
+        for i in range(len(rem) - dd - 1, -1, -1):
+            factor = rem[i + dd] / lead
+            if factor:
+                for j, c in enumerate(divisor):
+                    rem[i + j] -= factor * c
+        den, nums = integer_form(rem[:dd])
+        return _form(den * self._den, nums)
 
     def primitive(self) -> "Polynomial":
         """Clear denominators and divide by the integer content.

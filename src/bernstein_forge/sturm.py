@@ -37,21 +37,28 @@ IDENTICALLY_ZERO = "identically-zero"
 
 @dataclass(frozen=True)
 class SturmChain:
-    """Sturm sequence of the square-free polynomial sequence[0].
+    """Signed remainder sequence of (p, p'), p = sequence[0].
 
-    variations(lo) - variations(hi) counts its distinct roots in (lo, hi].
+    Read just right of lo and just left of hi, where no element vanishes,
+    variations(lo, 1) - variations(hi, -1) counts the distinct roots of p
+    in (lo, hi).
     """
 
     sequence: tuple
 
-    def variations(self, x) -> int:
-        x = as_rational(x)
-        return _variations(p.sign_at(x) for p in self.sequence)
+    def variations(self, x, side: int) -> int:
+        """Sign variations of the chain just right of x (side = 1) or just
+        left of it (side = -1).
+
+        Each element's sign there is that of its first non-zero Taylor
+        coefficient at x, times side^k for k the order of its root at x.
+        """
+        orders_and_signs = (q.order_and_sign(x, q.degree + 1) for q in self.sequence)
+        return _variations(s * side**k for k, s in orders_and_signs)
 
     def open_count(self, lo, hi) -> int:
         """Number of distinct roots of sequence[0] in the open (lo, hi)."""
-        at_hi = self.sequence[0].sign_at(hi) == 0
-        return self.variations(lo) - self.variations(hi) - at_hi
+        return self.variations(lo, 1) - self.variations(hi, -1)
 
 
 @dataclass(frozen=True)
@@ -103,12 +110,16 @@ class SignClassification:
 
 
 def sturm_chain(p: Polynomial) -> SturmChain:
-    """Sturm chain of the square-free part of p, from one remainder sequence.
+    """The signed remainder sequence of (p, p'), which ends at g, gcd(p, p')
+    up to a constant.
 
-    The signed remainder sequence of (p, p') ends at g, gcd(p, p') up to a
-    constant.  Dividing each element by monic g, when g is not constant,
-    leaves a Sturm sequence of the square-free part p / g (Basu, Pollack &
-    Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).
+    Every element is a multiple of g, and every root of g is a root of p.
+    At a point x that is not a root of p, dividing the elements by g(x) != 0
+    leaves their sign variations unchanged: there the chain has the
+    variations of the Sturm sequence of the square-free part p / g (Basu,
+    Pollack & Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).
+    `SturmChain` reads its signs just beside a point, where no element
+    vanishes, so no division by g is needed.
     """
     if p.is_zero:
         raise ZeroPolynomial("Sturm chain of the zero polynomial")
@@ -120,35 +131,7 @@ def sturm_chain(p: Polynomial) -> SturmChain:
             if rem.is_zero:
                 break
             seq.append(-rem)
-        if seq[-1].degree > 0:
-            g = seq[-1].monic()
-            seq = [q.div_exact(g) for q in seq]
     return SturmChain(tuple(seq))
-
-
-def sturm_count(
-    p: Polynomial,
-    lo,
-    hi,
-    *,
-    include_lo: bool,
-    include_hi: bool,
-) -> int:
-    """Exact number of distinct real roots of p in the given interval.
-
-    Endpoint openness is explicit; there is no silent default.
-    """
-    if p.is_zero:
-        raise ZeroPolynomial("root count of the zero polynomial")
-    lo, hi = as_rational(lo), as_rational(hi)
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    count = sturm_chain(p).open_count(lo, hi)
-    if include_lo and p.sign_at(lo) == 0:
-        count += 1
-    if include_hi and p.sign_at(hi) == 0:
-        count += 1
-    return count
 
 
 def isolate_roots(p: Polynomial, a, b) -> list:
@@ -164,21 +147,25 @@ def isolate_roots(p: Polynomial, a, b) -> list:
         return []
     a, b = as_rational(a), as_rational(b)
     chain = sturm_chain(p)
-    sf = chain.sequence[0]  # the square-free part of p
     out = []
-    stack = [(a, b, chain.open_count(a, b))]
+    # (lo, hi, variations just right of lo, variations just left of hi)
+    stack = [(a, b, chain.variations(a, 1), chain.variations(b, -1))]
     while stack:
-        lo, hi, k = stack.pop()
+        lo, hi, v_lo, v_hi = stack.pop()
+        k = v_lo - v_hi
         if k == 0:
             continue
-        if k == 1 and sf.sign_at(lo) != 0 and sf.sign_at(hi) != 0:
+        if k == 1 and p.sign_at(lo) != 0 and p.sign_at(hi) != 0:
             out.append(Enclosure(lo, hi))
             continue
         mid = (lo + hi) / 2
-        if sf.sign_at(mid) == 0:
+        if p.sign_at(mid) == 0:
             out.append(Enclosure(mid, mid))
-        stack.append((lo, mid, chain.open_count(lo, mid)))
-        stack.append((mid, hi, chain.open_count(mid, hi)))
+            left, right = chain.variations(mid, -1), chain.variations(mid, 1)
+        else:  # no root of p at mid, so the count does not change across it
+            left = right = chain.variations(mid, 1)
+        stack.append((lo, mid, v_lo, left))
+        stack.append((mid, hi, right, v_hi))
     out.sort(key=lambda e: e.lo)
     return out
 

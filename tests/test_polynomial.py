@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernstein_forge import MAX_DEGREE, DegreeTooLarge, NonExactDivision, Polynomial, cli, polynomial
+from bernstein_forge import MAX_DEGREE, DegreeTooLarge, Polynomial, cli, polynomial
 from bernstein_forge.rational import integer_form, sign
 
 
@@ -143,25 +143,40 @@ class TestRootOrder:
         while not q.is_zero and q.sign_at(r) == 0:
             q, extra = q.derivative(), extra + 1
         expected = 9 if q.is_zero else min(k + extra, 9)
-        assert p.root_order(r, 9) == expected
+        assert p.order_and_sign(r, 9)[0] == expected
 
     @given(wide_polys, rationals, st.integers(0, 4), st.integers(0, 9))
     @settings(max_examples=150, deadline=None)
     def test_leading_zeros_of_the_taylor_coefficients(self, q, r, k, limit):
-        # The definition: root_order stops at the first non-zero coefficient
-        # but must count what all `limit` coefficients would give.
+        # The definition: order_and_sign stops at the first non-zero
+        # coefficient but must count what all `limit` coefficients would give.
         p = q
         for _ in range(k):
             p = p * Polynomial([-r, 1])
         taylor = p.taylor_form(r, limit)[1]
         expected = next((j for j, t in enumerate(taylor) if t), limit)
-        assert p.root_order(r, limit) == expected
+        assert p.order_and_sign(r, limit)[0] == expected
+
+    @given(wide_polys, rationals, st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_sign_is_the_first_non_zero_derivative(self, q, r, k):
+        # The sign component, which Sturm chains read just beside a point,
+        # against derivatives taken on the Fraction coefficients.
+        p = q
+        for _ in range(k):
+            p = p * Polynomial([-r, 1])
+        cs, order = ref_trim(p.coeffs), 0
+        while cs and sign(sum(c * r**i for i, c in enumerate(cs))) == 0:
+            cs, order = ref_derivative(cs), order + 1
+        # Degrees stay below 12, so only the zero polynomial reaches the limit.
+        want = (order, sign(sum(c * r**i for i, c in enumerate(cs)))) if cs else (13, 0)
+        assert p.order_and_sign(r, 13) == want
 
     def test_count_stops_at_the_limit(self):
         p = Polynomial.monomial(5)
-        assert p.root_order(0, 3) == 3
-        assert p.root_order(0, 6) == 5
-        assert p.root_order(1, 6) == 0
+        assert p.order_and_sign(0, 3)[0] == 3
+        assert p.order_and_sign(0, 6)[0] == 5
+        assert p.order_and_sign(1, 6)[0] == 0
 
 
 class TestTaylorAndCombination:
@@ -203,29 +218,26 @@ class TestDerivative:
 
 
 class TestDivision:
+    """Exact divisions leave a zero remainder, which ends a Sturm chain."""
+
     def test_strip_endpoint_factors(self):
         p = Polynomial.from_sparse("1:1,3:-1")  # x - x^3
         d = Polynomial.from_sparse("0:1,2:-1")  # (x+1)(1-x)
-        assert p.div_exact(d) == Polynomial.monomial(1)
+        assert (p % d).is_zero
 
     def test_half_geometric_factor(self):
         p = Polynomial.from_sparse("0:1/2,3:-1/2")  # (1 - x^3)/2
         d = Polynomial.from_sparse("0:1,1:-1")
-        q = p.div_exact(d)
-        assert q == Polynomial.from_sparse("0:1/2,1:1/2,2:1/2")
-        assert q * d == p  # multiply-back oracle
+        assert (p % d).is_zero
+        assert (p % Polynomial.from_sparse("0:1,1:1")) == Polynomial([1])  # p(-1) = 1
 
     def test_monomials(self):
-        assert Polynomial.monomial(3).div_exact(Polynomial.monomial(2)) == Polynomial.monomial(1)
-
-    def test_inexact_division_raises(self):
-        with pytest.raises(NonExactDivision):
-            Polynomial.from_sparse("0:1,2:1").div_exact(Polynomial.from_sparse("0:1,1:1"))
+        assert (Polynomial.monomial(3) % Polynomial.monomial(2)).is_zero
 
     @given(polys, polys.filter(lambda d: not d.is_zero))
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_constructed_products(self, p, d):
-        assert (p * d).div_exact(d) == p
+        assert ((p * d) % d).is_zero
 
 
 class TestRepresentation:
@@ -376,17 +388,10 @@ class TestIntegerForm:
     @settings(max_examples=150, deadline=None)
     def test_division_matches_the_fraction_reference(self, q, d, r):
         for p in (q * d, q * d + r):
-            quotient, remainder = ref_divrem(p.coeffs, d.coeffs)
+            _, remainder = ref_divrem(p.coeffs, d.coeffs)
             got = p % d
             assert_canonical(got)
             assert got.coeffs == remainder
-            if remainder:
-                with pytest.raises(NonExactDivision):
-                    p.div_exact(d)
-            else:
-                got = p.div_exact(d)
-                assert_canonical(got)
-                assert got.coeffs == quotient
 
     @given(wide_polys, wide_polys, wide_rationals.filter(bool))
     @settings(max_examples=150, deadline=None)

@@ -16,7 +16,6 @@ from bernstein_forge import (
     isolate_roots,
     rational_root_in,
     sturm_chain,
-    sturm_count,
 )
 from bernstein_forge.rational import sign
 
@@ -48,32 +47,36 @@ node_factors = st.one_of(
 )
 
 
+def open_count(p, lo, hi):
+    return sturm_chain(p).open_count(lo, hi)
+
+
 class TestSturmCount:
     def test_no_real_roots(self):
         p = Polynomial.from_sparse("0:1,2:1")
-        assert sturm_count(p, -1, 1, include_lo=False, include_hi=False) == 0
+        assert open_count(p, -1, 1) == 0
 
     def test_odd_cubic_crosses_origin(self):
         p = Polynomial.from_sparse("1:1,3:-1")
-        assert sturm_count(p, -1, 1, include_lo=False, include_hi=False) == 1
+        assert open_count(p, -1, 1) == 1
 
     def test_real_root_outside_interval(self):
         p = Polynomial.from_sparse("0:4,3:1")  # root -4^(1/3) ~ -1.587
-        assert sturm_count(p, -1, 2, include_lo=False, include_hi=False) == 0
+        assert open_count(p, -1, 2) == 0
 
     def test_endpoint_openness(self):
         p = linear(1) * linear(-1)
-        assert sturm_count(p, -1, 1, include_lo=True, include_hi=True) == 2
-        assert sturm_count(p, -1, 1, include_lo=False, include_hi=True) == 1
-        assert sturm_count(p, -1, 1, include_lo=False, include_hi=False) == 0
+        assert open_count(p, -1, 1) == 0
+        assert open_count(p, -2, 1) == 1
+        assert open_count(p, -1, 2) == 1
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            sturm_count(Polynomial.zero(), 0, 1, include_lo=False, include_hi=False)
+            sturm_chain(Polynomial.zero())
 
     def test_multiple_root_counted_once(self):
         p = linear(0) * linear(0) * linear(Fraction(1, 2))
-        assert sturm_count(p, -1, 1, include_lo=False, include_hi=False) == 2
+        assert open_count(p, -1, 1) == 2
 
     @given(
         st.lists(
@@ -91,7 +94,7 @@ class TestSturmCount:
         for r in roots:
             p = p * linear(r)
         want = sum(1 for r in roots if lo < r < hi)
-        assert sturm_count(p, lo, hi, include_lo=False, include_hi=False) == want
+        assert open_count(p, lo, hi) == want
 
 
 # Decimal stand-in for sqrt(2), closer to it than any fraction with
@@ -132,45 +135,63 @@ class TestMultipleRoots:
     @given(multiple_root_cases())
     @settings(max_examples=200, deadline=None)
     def test_counts_isolation_and_squarefree_part(self, case):
+        # The chain of p is its bare remainder sequence, not divided by
+        # gcd(p, p'), and counts and isolates as its square-free part does.
         p, sf, roots, lo, hi = case
         inside = sum(1 for r in roots if lo < r < hi)
-        at_lo, at_hi = lo in roots, hi in roots
-        for include_lo in (False, True):
-            for include_hi in (False, True):
-                want = inside + (include_lo and at_lo) + (include_hi and at_hi)
-                got = sturm_count(p, lo, hi, include_lo=include_lo, include_hi=include_hi)
-                assert got == want
-        assert len(isolate_roots(p, lo, hi)) == inside
-        assert sturm_chain(p).sequence[0] == sf
+        chain = sturm_chain(p)
+        assert chain.sequence[:2] == (p, p.derivative())
+        assert chain.open_count(lo, hi) == inside
+        assert open_count(sf, lo, hi) == inside
+        encs = isolate_roots(p, lo, hi)
+        assert len(encs) == inside
+        assert encs == isolate_roots(sf, lo, hi)
 
 
-def reference_sign(p, x):
-    """Sign of p(x) by Horner's rule over Fractions: the reference for sign_at."""
+def reference_sign(cs, x):
+    """Sign of the polynomial with Fraction coefficients cs at x, by Horner's rule."""
     acc = Fraction(0)
-    for c in reversed(p.coeffs):
+    for c in reversed(cs):
         acc = acc * x + c
     return sign(acc)
+
+
+def one_sided_sign(p, x, side):
+    """Sign of p != 0 just right of x (side 1) or just left of it (side -1):
+    that of its first derivative not zero at x, of order j, times side^j.
+    Derivatives are taken on the Fraction coefficients."""
+    cs, j = list(p.coeffs), 0
+    while reference_sign(cs, x) == 0:
+        cs, j = [i * c for i, c in enumerate(cs) if i], j + 1
+    return reference_sign(cs, x) * side**j
 
 
 class TestChainSigns:
     @given(
         st.lists(
             st.fractions(min_value=-5, max_value=5, max_denominator=2**70),
-            min_size=2,
+            min_size=1,
             max_size=6,
-        ).map(Polynomial).filter(lambda p: p.degree >= 1),
+        ).map(Polynomial).filter(lambda p: not p.is_zero),
         st.one_of(
             st.integers(min_value=-6, max_value=6).map(Fraction),
             st.fractions(min_value=-6, max_value=6, max_denominator=2**70),
         ),
+        st.integers(min_value=0, max_value=3),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_variations_match_fraction_signs(self, p, x):
+    @settings(max_examples=100, deadline=None)
+    def test_variations_match_fraction_signs(self, q, x, m):
+        # A root of order m planted at x makes the elements vanish there.
+        p = q
+        for _ in range(m):
+            p = p * linear(x)
+        if p.degree < 1:
+            p = p * linear(x)
         chain = sturm_chain(p)
-        signs = [reference_sign(q, x) for q in chain.sequence]
-        signs = [s for s in signs if s != 0]
-        want = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-        assert chain.variations(x) == want
+        for side in (1, -1):
+            signs = [one_sided_sign(e, x, side) for e in chain.sequence]
+            want = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+            assert chain.variations(x, side) == want
 
 
 class TestClassify:
