@@ -21,10 +21,12 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import BadTolerance, BernsteinForgeError, F0NotPositive, RatioNotMonotone
 from .operator import (
@@ -39,6 +41,7 @@ from .rational import (
     format_decimal,
     format_quotient,
     format_rational,
+    integer_form,
     read_integer,
 )
 from .spaces import MonomialSpace, NoBasisReport, bernstein_basis, normalize_when_possible
@@ -195,15 +198,29 @@ def cmd_operator(args) -> int:
 
 
 def _emit_samples_csv(spec, count: int, digits: int):
-    """Equispaced basis samples as CSV on stdout (report went to stderr)."""
-    n = spec.basis.order
-    a, b = spec.basis.a, spec.basis.b
+    """Basis samples at count equispaced points of [a, b] as CSV on stdout
+    (the report went to stderr), written row by row.
+
+    Sample i is x_i = (u0 + h i)/v on integers: with a = ua/scale and
+    b = ub/scale for scale = lcm(den a, den b), v = scale steps,
+    u0 = ua steps and h = ub - ua > 0, so x_i = a + (b - a) i/steps.  The
+    element columns are the lazy numerators of `Polynomial.grid_numerators`
+    over their one denominator.  Every cell, x included, is
+    `format_quotient` of an unreduced pair, whose text is that of the
+    reduced value: the exact value rounded half away from zero to `digits`
+    places.  The columns are zipped lazily, so memory does not grow with
+    count.
+    """
+    basis = spec.basis
+    n = basis.order
     print("x," + ",".join(f"p{n}_{k}" for k in range(n + 1)))
     steps = max(count - 1, 1)
-    for i in range(count):
-        x = a + (b - a) * Fraction(i, steps)
-        row = [format_decimal(x, digits)]
-        row.extend(format_quotient(*p.ratio_at(x), digits) for p in spec.basis.elements)
+    scale, (ua, ub) = integer_form((basis.a, basis.b))
+    u0, h, v = ua * steps, ub - ua, scale * steps
+    columns = [(v, range(u0, u0 + h * count, h))]
+    columns += [p.grid_numerators(u0, h, v, count) for p in basis.elements]
+    cells = [map(format_quotient, nums, repeat(den), repeat(digits)) for den, nums in columns]
+    for row in zip(*cells):
         print(",".join(row))
 
 
@@ -235,7 +252,10 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    `main` parses with it on every call."""
     parser = argparse.ArgumentParser(
         prog="bernstein-forge",
         description="Exact Bernstein bases and generalized Bernstein operators.",

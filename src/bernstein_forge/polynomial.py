@@ -14,9 +14,12 @@ every result is reduced once, by gcd(D, *numerators), in `_form`.
 Evaluation is fraction-free: p(u/v) is the homogeneous Horner sum over
 Python ints divided by D v^d, one Fraction at the end, and
 `sign_at_pair(u, v)` reads the sign of p(u/v) from that sum, with u/v not
-necessarily in lowest terms.  The one division is `%`, whose loop alone
-runs over Fractions; it builds only the remainder, since the least common
-denominator of the quotient it discards can be huge.
+necessarily in lowest terms.  On an equispaced grid (u0 + h i)/v that sum
+is a polynomial of degree d in i, so `grid_numerators` runs Horner at the
+first d + 1 points and reaches every later one by d integer additions
+through its forward-difference table.  The one division is `%`, whose
+loop alone runs over Fractions; it builds only the remainder, since the
+least common denominator of the quotient it discards can be huge.
 
 Degrees are capped at MAX_DEGREE: a dense polynomial stores one
 coefficient per degree, so a sparse text such as "1000000000:1" would
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from math import gcd, lcm
 from typing import Iterable
 
@@ -238,16 +241,42 @@ class Polynomial:
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation by fraction-free Horner; one Fraction at the end."""
-        return Fraction(*self.ratio_at(x))
-
-    def ratio_at(self, x) -> tuple:
-        """p(x) as an unreduced integer pair (num, den) with den > 0."""
         nums = self._nums
         if not nums:
-            return 0, 1
+            return Fraction(0)
         x = as_rational(x)
         v = x.denominator
-        return _homogeneous_horner(nums, x.numerator, v), self._den * v ** (len(nums) - 1)
+        return Fraction(_homogeneous_horner(nums, x.numerator, v),
+                        self._den * v ** (len(nums) - 1))
+
+    def grid_numerators(self, u0: int, h: int, v: int, count: int) -> tuple:
+        """(den, numerators): p((u0 + h i)/v) = numerators[i] / den for
+        i < count, for integers u0, h and v > 0; den = D v^d, and the
+        numerators come from a lazy iterator, unreduced.
+
+        The homogeneous Horner sum at u0 + h i is a polynomial of degree d
+        in i, so its d-th forward difference is constant (Knuth, TAOCP
+        Vol. 2, 4.6.4).  Horner runs at the first d + 1 points only; their
+        difference table gives each order's first entry, and each order is
+        the running sum of the next one: d nested `accumulate`s, d integer
+        additions per later point, and O(d) memory whatever count is.
+        """
+        nums = self._nums
+        if not nums:
+            return 1, repeat(0, count)
+        d = len(nums) - 1
+        row = [_homogeneous_horner(nums, u0 + h * i, v) for i in range(min(count, d + 1))]
+        den = self._den * v**d
+        if count <= d + 1:
+            return den, iter(row)
+        firsts = []
+        while row:
+            firsts.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        values = repeat(firsts.pop())
+        for first in reversed(firsts):
+            values = accumulate(values, initial=first)
+        return den, islice(values, count)
 
     def sign_at(self, x) -> int:
         """Exact sign of p(x) (-1, 0 or 1), without building the value."""

@@ -56,10 +56,6 @@ class SturmChain:
         orders_and_signs = (q.order_and_sign(x, q.degree + 1) for q in self.sequence)
         return _variations(s * side**k for k, s in orders_and_signs)
 
-    def open_count(self, lo, hi) -> int:
-        """Number of distinct roots of sequence[0] in the open (lo, hi)."""
-        return self.variations(lo, 1) - self.variations(hi, -1)
-
 
 @dataclass(frozen=True)
 class SampleWitness:

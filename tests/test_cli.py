@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,13 @@ from bernstein_forge import (
     MAX_DIMENSION,
     MAX_SIZE,
     IdentityViolation,
+    OperatorProblem,
     cli,
+    existence_report,
     spaces,
 )
 from bernstein_forge.corpus import CASES, run_corpus
+from bernstein_forge.rational import format_decimal
 
 SPACE_E1 = json.dumps({"exponents": [0, 3], "a": "-1", "b": "1"})
 SPACE_BAD = json.dumps({"exponents": [0, 1, 3], "a": "-1", "b": "2"})
@@ -417,6 +421,16 @@ class TestUsageErrors:
         assert cli.main(argv) == 0
         assert "usage:" in capsys.readouterr().out
 
+    def test_parser_built_once_and_reused(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.main(["operator", "-h"]) == 0
+        first_help = capsys.readouterr().out
+        assert cli.main(["basis"]) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert cli.main(["operator", "-h"]) == 0
+        assert capsys.readouterr().out == first_help
+        assert cli.main(["basis", SPACE_E1]) == 0
+
     def test_process_exit_code(self):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         done = subprocess.run([sys.executable, "-m", "bernstein_forge.cli", "basis"],
@@ -524,6 +538,22 @@ class TestSamplesCsv:
         assert captured.out == ""
         assert captured.err == (f"error: {cli.PRECISION_ENV} must be at most "
                                 f"{cli.MAX_PRECISION}, got {value!r}\n")
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 17])
+    def test_every_cell_is_the_rounded_exact_value(self, capsys, monkeypatch, count):
+        # A non-dyadic interval with a < 0 and a non-constant f0.
+        problem = {"space": {"exponents": [0, 1, 2, 3, 4, 5], "a": "-2/3", "b": "5/7"},
+                   "f0": "0:5,1:1", "f1": "1:1"}
+        monkeypatch.setenv(cli.PRECISION_ENV, "9")
+        assert cli.main(["operator", json.dumps(problem), "--samples", str(count)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        basis = existence_report(OperatorProblem.from_json(problem)).basis
+        a, b = basis.a, basis.b
+        assert len(lines) == count + 1
+        for i, line in enumerate(lines[1:]):
+            x = a + (b - a) * Fraction(i, max(count - 1, 1))
+            assert line.split(",") == [format_decimal(x, 9)] + [
+                format_decimal(p(x), 9) for p in basis.elements]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
     def test_malformed_precision_env_refused(self, capsys, monkeypatch, value):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import factorial, gcd, lcm
 from pathlib import Path
 
@@ -105,7 +106,7 @@ class TestIntegerKernel:
 
 
 class TestPairKernel:
-    """sign_at_pair on unreduced pairs (g u, g v), and ratio_at's pairs."""
+    """sign_at_pair on unreduced pairs (g u, g v), and evaluation as one pair."""
 
     @given(st.one_of(st.just(Polynomial.zero()), wide_polys),
            st.integers(min_value=-2**90, max_value=2**90),
@@ -123,12 +124,42 @@ class TestPairKernel:
 
     @given(wide_polys, wide_rationals)
     @settings(max_examples=200, deadline=None)
-    def test_ratio_at_pair(self, p, x):
-        """The unreduced pair (sum of n_i u^i v^(d-i), D v^d), term by term."""
+    def test_call_is_the_pair_quotient(self, p, x):
+        """p(x) is (sum of n_i u^i v^(d-i)) / (D v^d), summed term by term."""
         den, nums = integer_form(p.coeffs)
         u, v, d = x.numerator, x.denominator, len(nums) - 1
-        expected = (sum(c * u**i * v ** (d - i) for i, c in enumerate(nums)), den * v**d)
-        assert p.ratio_at(x) == (expected if nums else (0, 1))
+        expected = sum(c * u**i * v ** (d - i) for i, c in enumerate(nums))
+        value = p(x)
+        assert isinstance(value, Fraction)
+        assert value == (Fraction(expected, den * v**d) if nums else 0)
+
+
+class TestGridNumerators:
+    """grid_numerators against Fraction evaluation at (u0 + h i)/v."""
+
+    @given(st.one_of(st.just(Polynomial.zero()), wide_rationals.map(lambda c: Polynomial([c])),
+                     wide_polys),
+           st.integers(min_value=-2**70, max_value=2**70),
+           st.integers(min_value=-2**20, max_value=2**20),
+           st.one_of(st.just(1), st.integers(min_value=2, max_value=2**70)),
+           st.sampled_from(["none", "one", "at most d + 1", "more"]),
+           st.integers(min_value=0, max_value=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_evaluation(self, p, u0, h, v, size, extra):
+        d = max(p.degree, 0)
+        count = {"none": 0, "one": 1, "at most d + 1": min(extra, d + 1),
+                 "more": d + 2 + extra}[size]
+        den, nums = p.grid_numerators(u0, h, v, count)
+        assert den == (p.form[0] * v**d if not p.is_zero else 1)
+        got = [Fraction(n, den) for n in nums]
+        assert got == [reference_eval(p, Fraction(u0 + h * i, v)) for i in range(count)]
+
+    def test_lazy_for_any_count(self):
+        # A count far past what a list could hold: only what is read is built.
+        p = Polynomial.from_sparse("0:-3/7,2:5,5:-1/3")
+        den, nums = p.grid_numerators(-40, 3, 11, 10**18)
+        assert [Fraction(n, den) for n in islice(nums, 50)] == [
+            p(Fraction(-40 + 3 * i, 11)) for i in range(50)]
 
 
 class TestRootOrder:

@@ -48,7 +48,9 @@ node_factors = st.one_of(
 
 
 def open_count(p, lo, hi):
-    return sturm_chain(p).open_count(lo, hi)
+    """Distinct roots of p in the open (lo, hi), by Sturm's theorem."""
+    chain = sturm_chain(p)
+    return chain.variations(lo, 1) - chain.variations(hi, -1)
 
 
 class TestSturmCount:
@@ -141,7 +143,7 @@ class TestMultipleRoots:
         inside = sum(1 for r in roots if lo < r < hi)
         chain = sturm_chain(p)
         assert chain.sequence[:2] == (p, p.derivative())
-        assert chain.open_count(lo, hi) == inside
+        assert chain.variations(lo, 1) - chain.variations(hi, -1) == inside
         assert open_count(sf, lo, hi) == inside
         encs = isolate_roots(p, lo, hi)
         assert len(encs) == inside

@@ -17,7 +17,11 @@ writes under OUT:
   the size contract accepts, and on the spans one top exponent past them,
   which it refuses;
 - chains/: `basis` of spans whose classification builds Sturm chains
-  (CHAIN_SPANS).
+  (CHAIN_SPANS);
+- csv/: `operator --samples N` for N in CSV_SAMPLES and
+  BERNSTEIN_FORGE_PRECISION in CSV_PRECISIONS, on the full spaces of the
+  orders in CSV_ORDERS over the intervals CSV_INTERVALS, with the named
+  (f0, f1) of CSV_PAIRS.
 
 The problems come from perfbench/workloads.py beside this tool, which is
 read and not changed.  Run it on two checkouts and compare with
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -48,6 +53,14 @@ CHAIN_SPANS = (
     ([0, 1, 2, 8, 22], "-1/2", "1"),
     ([0, 1, 3], "-1", "1"),
 )
+
+# Sample counts, digits, intervals (non-dyadic, negative, integer) and
+# named (f0, f1) pairs of the csv/ group: the edge cases of the CSV grid.
+CSV_SAMPLES = (1, 2, 3, 1001)
+CSV_PRECISIONS = ("1", "40")
+CSV_ORDERS = (1, 2, 3, 5, 8, 12, 16)
+CSV_INTERVALS = (("-1/3", "5/7"), ("-7/2", "-1/3"), ("2", "5"), ("-1", "2"))
+CSV_PAIRS = (("one", "0:1", "1:1"), ("five_plus_x", "0:5,1:1", "1:1"))
 
 
 def _write(path: Path, text: str) -> None:
@@ -118,6 +131,17 @@ def main(argv=None) -> int:
     for exponents, a, b in CHAIN_SPANS:
         name = "_".join(map(str, exponents)) + f"_on_{a}_{b}".replace("/", "over")
         _run_cli(cli, ["basis", json.dumps(_space(exponents, a, b))], out / "chains" / name)
+
+    for digits in CSV_PRECISIONS:
+        os.environ["BERNSTEIN_FORGE_PRECISION"] = digits
+        for (a, b), (pair, f0, f1), n in itertools.product(CSV_INTERVALS, CSV_PAIRS,
+                                                            CSV_ORDERS):
+            problem = {"space": _space(range(n + 1), a, b), "f0": f0, "f1": f1}
+            name = f"n{n:02d}_on_{a}_{b}_{pair}".replace("/", "over")
+            for samples in CSV_SAMPLES:
+                _run_cli(cli, ["operator", json.dumps(problem), "--samples", str(samples)],
+                         out / "csv" / f"digits{digits}" / f"{name}.samples{samples}")
+    os.environ["BERNSTEIN_FORGE_PRECISION"] = PRECISION
 
     print(f"{sum(1 for p in out.rglob('*') if p.is_file())} files under {out}")
     return 0
