@@ -287,12 +287,9 @@ class CaseResult:
     mismatches: tuple
 
 
-def run_corpus(filter_glob: Optional[str] = None, cases=None) -> list:
+def run_corpus(filter_glob: Optional[str] = None) -> list:
     """Run (a filtered subset of) the corpus; returns one result per case."""
-    if cases is None:
-        cases = CASES
-    if filter_glob is not None:
-        cases = [c for c in cases if fnmatch(c.name, filter_glob)]
+    cases = CASES if filter_glob is None else [c for c in CASES if fnmatch(c.name, filter_glob)]
     results = []
     for case in cases:
         mismatches = case.run()

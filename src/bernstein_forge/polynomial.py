@@ -17,9 +17,9 @@ Python ints divided by D v^d, one Fraction at the end, and
 necessarily in lowest terms.  On an equispaced grid (u0 + h i)/v that sum
 is a polynomial of degree d in i, so `grid_numerators` runs Horner at the
 first d + 1 points and reaches every later one by d integer additions
-through its forward-difference table.  The one division is `%`, whose
-loop alone runs over Fractions; it builds only the remainder, since the
-least common denominator of the quotient it discards can be huge.
+through its forward-difference table.  The one division is `%`, exact
+pseudo-division on the numerators; it builds only the remainder, since
+the least common denominator of the quotient it discards can be huge.
 
 Degrees are capped at MAX_DEGREE: a dense polynomial stores one
 coefficient per degree, so a sparse text such as "1000000000:1" would
@@ -338,23 +338,29 @@ class Polynomial:
     def __mod__(self, d: "Polynomial") -> "Polynomial":
         """The remainder of long division by d, of degree below deg d.
 
-        The loop runs over the numerators: those of self are q times those
-        of d plus r, with len(r) = deg d, so self % d is r / D for D the
-        denominator of self.  Only r is brought to the integer form.
+        Exact pseudo-division on the numerators (Knuth, TAOCP Vol. 2,
+        4.6.1), with no quotient built.  d is negated if its leading
+        numerator is negative, since a % -d == a % d.  rem holds the live
+        numerators, at most deg d + 1 of them, times a running scale; self's
+        numerators join it highest degree first, each times the scale.  A
+        top numerator t != 0 is cleared by multiplying rem and the scale by
+        d's leading numerator and subtracting t times the rest of d.  Only
+        the live numerators are rescaled, so a long dividend by a short
+        divisor never holds deg self rescaled numerators at once.  What is
+        left is scale times the remainder: self % d is rem over D * scale.
         """
         if d.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._nums)
-        divisor = d._nums
-        dd = len(divisor) - 1
-        lead = Fraction(divisor[-1])
-        for i in range(len(rem) - dd - 1, -1, -1):
-            factor = rem[i + dd] / lead
-            if factor:
-                for j, c in enumerate(divisor):
-                    rem[i + j] -= factor * c
-        den, nums = integer_form(rem[:dd])
-        return _form(den * self._den, nums)
+        *low, lead = d._nums if d._nums[-1] > 0 else [-c for c in d._nums]
+        rem, scale = [], 1
+        for n in reversed(self._nums):
+            rem.insert(0, n * scale)
+            if len(rem) > len(low):
+                t = rem.pop()
+                if t:
+                    rem = [c * lead - t * l for c, l in zip(rem, low)]
+                    scale *= lead
+        return _form(self._den * scale, rem)
 
     def primitive(self) -> "Polynomial":
         """Clear denominators and divide by the integer content.

@@ -312,14 +312,9 @@ def classify_on_interval(p: Polynomial, a, b) -> SignClassification:
         cursor = enc.hi
     points.append(b if cursor == b else (cursor + b) / 2)
 
-    samples = []
-    signs = set()
-    for x in points:
-        s = p.sign_at(x)
-        if s == 0:  # only possible at the closed-boundary samples a or b
-            continue
-        signs.add(s)
-        samples.append(SampleWitness(x, s))
+    # Never 0: a gap midpoint, an end tested above, or b (ends an enclosure only if p(b) != 0).
+    samples = [SampleWitness(x, p.sign_at(x)) for x in points]
+    signs = {w.sign for w in samples}
 
     if signs == {1}:
         verdict = NONNEG_INTERIOR_ZEROS
@@ -334,12 +329,12 @@ def rational_root_in(p: Polynomial, enc: Enclosure) -> Enclosure:
     """enc narrowed to the root of p in it when that root is rational, else enc.
 
     enc is exact or brackets a sign change of p around its only root, as
-    `bisect_root` and `isolate_roots` return them (the latter for the
-    square-free part).  With N the leading coefficient of the primitive
-    integer form of p, a rational root has a denominator dividing N, and
-    two distinct such rationals lie at least 1/N^2 apart.  So once a copy
-    of enc is halved to width 1/(2 N^2), the only candidate is the fraction
-    nearest its midpoint with denominator at most N, tested exactly.
+    `bisect_root` and `isolate_roots` return them.  With N the leading
+    coefficient of the primitive integer form of p, a rational root has a
+    denominator dividing N, and two distinct such rationals lie at least
+    1/N^2 apart.  So once a copy of enc is halved to width 1/(2 N^2), the
+    only candidate is the fraction nearest its midpoint with denominator at
+    most N, tested exactly.
     """
     if enc.is_exact:
         return enc

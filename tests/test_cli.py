@@ -16,10 +16,11 @@ from bernstein_forge import (
     IdentityViolation,
     OperatorProblem,
     cli,
+    corpus,
     existence_report,
     spaces,
 )
-from bernstein_forge.corpus import CASES, run_corpus
+from bernstein_forge.corpus import CASES
 from bernstein_forge.rational import format_decimal
 
 SPACE_E1 = json.dumps({"exponents": [0, 3], "a": "-1", "b": "1"})
@@ -174,9 +175,7 @@ class TestExitCodes:
     def test_corpus_mismatch_detected(self, capsys, monkeypatch):
         broken = copy.deepcopy(CASES[0])
         broken.expected["gamma"] = ["-1", "2"]
-        monkeypatch.setattr(
-            cli, "run_corpus", lambda filter_glob=None: run_corpus(cases=[broken])
-        )
+        monkeypatch.setattr(corpus, "CASES", [broken])
         assert cli.main(["corpus"]) == 5
         captured = capsys.readouterr()
         assert "FAIL" in captured.out

@@ -8,7 +8,7 @@ from math import factorial, gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernstein_forge import MAX_DEGREE, DegreeTooLarge, Polynomial, cli, polynomial
@@ -387,6 +387,10 @@ def assert_canonical(p):
 
 
 nonzero_polys = wide_polys.filter(lambda p: not p.is_zero)
+# Sparse polynomials: long division by one drops degree by more than 1 at a step.
+sparse_polys = st.dictionaries(
+    st.integers(0, 14), wide_rationals.filter(bool), min_size=1, max_size=4,
+).map(lambda terms: Polynomial([terms.get(i, 0) for i in range(max(terms) + 1)]))
 
 
 class TestIntegerForm:
@@ -415,7 +419,16 @@ class TestIntegerForm:
             assert_canonical(got)
             assert got.coeffs == expected
 
-    @given(wide_polys, nonzero_polys, wide_polys)
+    @given(st.one_of(wide_polys, sparse_polys), st.one_of(nonzero_polys, sparse_polys),
+           st.one_of(wide_polys, sparse_polys))
+    # p % p' with q = 0, as in a Sturm chain: the divisor 1 - 9x^8 leads negative,
+    # a drop from degree 11 to 1, and a negative lead over D = 3.
+    @example(Polynomial.zero(), Polynomial.from_sparse("0:1,8:-9"),
+             Polynomial.from_sparse("0:1,1:1,9:-1"))
+    @example(Polynomial.zero(), Polynomial.from_sparse("0:-7/2,11:4"),
+             Polynomial.from_sparse("0:3,1:-7/2,12:1/3"))
+    @example(Polynomial.zero(), Polynomial.from_sparse("3:8/3,10:-11"),
+             Polynomial.from_sparse("0:-5/7,4:2/3,11:-1"))
     @settings(max_examples=150, deadline=None)
     def test_division_matches_the_fraction_reference(self, q, d, r):
         for p in (q * d, q * d + r):
@@ -448,18 +461,22 @@ class TestIntegerForm:
 
 
 def test_remainders_build_no_quotient(monkeypatch):
-    """`%` brings only the remainder to the integer form.  The quotient it
-    discards has up to deg p coefficients over powers of d's leading
-    coefficient: paying for their least common denominator once took
-    span{1, x, x^800} from 3.5 to 308 s."""
+    """`%` runs on the integer numerators: it builds no Fraction and makes
+    no integer_form conversion.  The quotient it discards has up to deg p
+    coefficients over powers of d's leading coefficient: paying for their
+    least common denominator once took span{1, x, x^800} from 3.5 to 308 s."""
     p = Polynomial.monomial(800) + Polynomial([1, 1])
     d = Polynomial([3, 2**64 + 1])
-    converted = []
-    original = polynomial.integer_form
-    monkeypatch.setattr(polynomial, "integer_form",
-                        lambda values: converted.append(len(values)) or original(values))
-    assert (p % d).degree == 0
-    assert converted == [1]
+    built = []
+    with monkeypatch.context() as m:
+        for name in ("Fraction", "integer_form"):
+            original = getattr(polynomial, name)
+            m.setattr(polynomial, name,
+                      lambda *args, name=name, original=original:
+                      built.append(name) or original(*args))
+        remainder = p % d
+    assert built == []
+    assert remainder == Polynomial([p(Fraction(-3, 2**64 + 1))])  # remainder theorem
 
 
 def test_degree_2000_chains_answer():
