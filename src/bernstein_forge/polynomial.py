@@ -286,10 +286,17 @@ class Polynomial:
     def sign_at_pair(self, u: int, v: int) -> int:
         """Exact sign of p(u/v) for integers u and v > 0; u/v need not be
         reduced, so a caller can keep a running pair without a gcd."""
-        if not self._nums:
-            return 0
-        acc = _homogeneous_horner(self._nums, u, v)
+        acc = self.value_at_pair(u, v)
         return (acc > 0) - (acc < 0)
+
+    def value_at_pair(self, u: int, v: int) -> int:
+        """The integer h with p(u/v) = h / (D v^d), for integers u and v > 0,
+        d = degree (0 for the zero polynomial): the homogeneous Horner sum.
+
+        Values at pairs with one v share one denominator, so their ratios
+        and differences need no Fraction.
+        """
+        return _homogeneous_horner(self._nums, u, v) if self._nums else 0
 
     def taylor_form(self, x, count: int) -> tuple:
         """(E, numerators): the Taylor coefficients p^(j)(x) / j! for j < count

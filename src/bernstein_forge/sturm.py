@@ -12,9 +12,11 @@ additions, run up to degree BERNSTEIN_MAX_DEGREE, whose comment gives its
 timing table).  Sturm chains are left for isolating roots: a Bernstein
 count above 1 proves nothing about where they are.  Every test that needs
 only a sign uses `Polynomial.sign_at`, which builds no Fraction.
-Bisection goes further: it halves integer numerators over one doubling
-denominator and tests each midpoint with `Polynomial.sign_at_pair` on that
-unreduced pair, so it builds Fractions only for what it returns.
+`bisect_root` goes further: it refines a bracket on bisection's dyadic
+grid by quadratic interval refinement, reading `Polynomial.value_at_pair`
+on integer pairs, so it builds Fractions only for what it returns.  With
+one distinct root in the bracket its enclosure is exactly bisection's;
+with several it is a certified sign-change cell of the same grid.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 
 from .errors import BadTolerance, NoBracket, ZeroPolynomial
 from .polynomial import Polynomial
@@ -334,12 +337,15 @@ def rational_root_in(p: Polynomial, enc: Enclosure) -> Enclosure:
     denominator dividing N, and two distinct such rationals lie at least
     1/N^2 apart.  So once a copy of enc is halved to width 1/(2 N^2), the
     only candidate is the fraction nearest its midpoint with denominator at
-    most N, tested exactly.
+    most N, tested exactly.  An enc that is already that narrow is not
+    halved again.
     """
     if enc.is_exact:
         return enc
-    n = abs(p.primitive().form[1][-1])
-    fine = bisect_root(p, enc.lo, enc.hi, Fraction(1, 2 * n * n))
+    nums = p.form[1]
+    n = abs(nums[-1]) // gcd(*nums)
+    tol = Fraction(1, 2 * n * n)
+    fine = enc if enc.width <= tol else bisect_root(p, enc.lo, enc.hi, tol)
     if fine.is_exact:
         return fine
     candidate = fine.midpoint().limit_denominator(n)
@@ -349,19 +355,37 @@ def rational_root_in(p: Polynomial, enc: Enclosure) -> Enclosure:
 
 
 def bisect_root(p: Polynomial, lo, hi, tol) -> Enclosure:
-    """Certified bisection enclosure of width <= tol for a sign change of p.
+    """Certified enclosure of width <= tol for a sign change of p in [lo, hi].
 
-    Endpoint roots and exact midpoint hits come back with zero width.
     Raises BadTolerance unless tol > 0, ValueError unless lo < hi, and
     NoBracket when the exact endpoint signs agree and neither endpoint is
-    a root.
+    a root; an endpoint root comes back with zero width.
 
-    The halvings run on integers.  With lo = L/D and hi = (L + W)/D over
-    one denominator, the midpoint is (2L + W)/2D: each step doubles L and
-    D, keeps W, and tests the sign of p at the unreduced pair.  The width
-    W/D halves each step, so the step count is known before the first.
-    The midpoints are the dyadic points of a Fraction loop, in the same
-    order; Fractions are built only for a midpoint root or the result.
+    The result lies on bisection's grid: with s the least step count that
+    takes hi - lo to tol by halvings, it is a cell [x_j, x_(j+1)] of the
+    points x_j = lo + j (hi - lo) / 2^s, with exact, non-zero, opposite end
+    signs, or a grid point where p is exactly 0.  When [lo, hi] holds one
+    distinct root of p, that is the cell of the root, or the root itself
+    when it is a grid point: bisection's own enclosure.
+
+    The search is quadratic interval refinement (Abbott, ACM Commun.
+    Comput. Algebra 2014; Kerber & Sagraloff, ISSAC 2011).  Each bracket
+    is a cell of bisection's dyadic tree.  A round cuts it into N = 2^b
+    sub-cells, snaps the secant guess to one of them, and tests it with
+    one or two exact signs.  A sub-cell that brackets the sign change is
+    the next bracket and N is squared; otherwise the probe is dropped, b
+    is halved (down to 2), and the m-th miss since the last success with
+    N > 4 takes 2^m halvings of the bracket.  Near a simple root the
+    secant is good to about twice as many bits each round, so s bits cost
+    O(log s) rounds rather than s evaluations; near a multiple root it
+    converges only linearly, and the halvings keep the count close to
+    bisection's.
+
+    All of it runs on integers.  With lo = L/D and hi = (L + W)/D, grid
+    point j at level l is (L 2^l + j W)/(D 2^l), evaluated over that pair
+    with the power of 2 in j cancelled first; the Horner values of the two
+    ends share the denominator of their level, so the secant guess is one
+    integer division.  Fractions are built only for what is returned.
     """
     lo, hi = as_rational(lo), as_rational(hi)
     tol = as_rational(tol)
@@ -369,27 +393,71 @@ def bisect_root(p: Polynomial, lo, hi, tol) -> Enclosure:
         raise BadTolerance(f"tolerance must be positive, got {format_rational(tol)}")
     if not lo < hi:
         raise ValueError("need lo < hi")
-    s_lo, s_hi = p.sign_at(lo), p.sign_at(hi)
-    if s_lo == 0:
+    den, (num, high) = integer_form((lo, hi))
+    f_lo, f_hi = p.value_at_pair(num, den), p.value_at_pair(high, den)
+    if not f_lo:
         return Enclosure(lo, lo)
-    if s_hi == 0:
+    if not f_hi:
         return Enclosure(hi, hi)
-    if s_lo == s_hi:
+    if (f_lo > 0) == (f_hi > 0):
         raise NoBracket(
             f"p({format_rational(lo)}) and p({format_rational(hi)}) have equal sign"
         )
-    den, (num, high) = integer_form((lo, hi))
-    width = high - num
+    if f_lo > 0:  # make p negative at lo and positive at hi
+        p, f_lo, f_hi = -p, -f_lo, -f_hi
+    width, d, value = high - num, p.degree, p.value_at_pair
     # The least k with width * tol.den <= tol.num * den * 2^k.
     steps = ((width * tol.denominator - 1) // (tol.numerator * den)).bit_length()
-    sign_at_pair = p.sign_at_pair
-    for _ in range(steps):
-        num <<= 1
-        den <<= 1
-        s = sign_at_pair(num + width, den)
-        if s == 0:
-            mid = Fraction(num + width, den)
-            return Enclosure(mid, mid)
-        if s == s_lo:
-            num += width
-    return Enclosure(Fraction(num, den), Fraction(num + width, den))
+
+    def pair(level, j):
+        """Grid point j of the level, 0 < j < 2^level, as an integer pair
+        with the power of 2 in j cancelled, and that power's exponent."""
+        z = (j & -j).bit_length() - 1
+        return (num << level - z) + (j >> z) * width, den << level - z, z
+
+    # The bracket is cell [cell, cell + 1] of the level; f_lo < 0 < f_hi
+    # are p's Horner values at its ends, over the level's denominator.
+    level = cell = misses = 0
+    bits = 2
+    while level < steps:
+        b = min(bits, steps - level)
+        n = 1 << b
+        # The secant guess, rounded to a point of the sub-grid, then moved inside.
+        guess = (2 * n * -f_lo + f_hi - f_lo) // (2 * (f_hi - f_lo))
+        j = min(max(guess, 1), n - 1)
+        u, v, z = pair(level + b, (cell << b) + j)
+        f_j = value(u, v) << z * d
+        if not f_j:
+            return Enclosure(Fraction(u, v), Fraction(u, v))
+        k = j + 1 if f_j < 0 else j - 1  # the neighbour across the sign change
+        if k in (0, n):
+            f_k = (f_hi if k else f_lo) << b * d
+        else:
+            u, v, z = pair(level + b, (cell << b) + k)
+            f_k = value(u, v) << z * d
+            if not f_k:
+                return Enclosure(Fraction(u, v), Fraction(u, v))
+        if (f_k > 0) != (f_j > 0):
+            level += b
+            cell = (cell << b) + min(j, k)
+            f_lo, f_hi = (f_j, f_k) if j < k else (f_k, f_j)
+            misses = 0 if b > 2 else misses
+            bits = 2 * b
+            continue
+        # The probe missed: drop it and halve the bracket 2^misses times.
+        misses += 1
+        bits = max(2, b // 2)
+        for _ in range(min(1 << misses, steps - level)):
+            level += 1
+            cell <<= 1
+            u, v = (num << level) + (cell + 1) * width, den << level
+            f = value(u, v)
+            if not f:
+                return Enclosure(Fraction(u, v), Fraction(u, v))
+            if f < 0:
+                cell += 1
+                f_lo, f_hi = f, f_hi << d
+            else:
+                f_lo, f_hi = f_lo << d, f
+    return Enclosure(Fraction((num << steps) + cell * width, den << steps),
+                     Fraction((num << steps) + (cell + 1) * width, den << steps))

@@ -319,8 +319,8 @@ class TestBisect:
 
 def fraction_bisect_reference(p, lo, hi, tol):
     """The bisection loop over Fractions, one gcd per operation: the
-    reference for bisect_root's integer loop, which must return the same
-    enclosures and raise where this raises."""
+    reference for bisect_root, which must raise where this raises and, on
+    a bracket with one distinct root, return the same enclosure."""
     lo, hi, tol = Fraction(lo), Fraction(hi), Fraction(tol)
     if tol <= 0:
         raise BadTolerance(f"tolerance must be positive, got {tol}")
@@ -391,6 +391,15 @@ def bisect_cases(draw):
     return p, lo, hi, tol
 
 
+def grid_step(lo, hi, tol):
+    """The width (hi - lo) / 2^s of bisection's last cell: s is the least
+    step count with (hi - lo) / 2^s <= tol."""
+    step = hi - lo
+    while step > tol:
+        step /= 2
+    return step
+
+
 class TestBisectReference:
     @given(bisect_cases())
     @example((linear(Fraction(1, 7)) * (X * X + ONE), Fraction(-2, 3), Fraction(7, 5),
@@ -398,11 +407,85 @@ class TestBisectReference:
     @example((linear(Fraction(-2, 3) + Fraction(31, 15) * Fraction(3, 8)),
               Fraction(-2, 3), Fraction(7, 5), Fraction(1, 3)))
     @example((linear(Fraction(1, 7)), Fraction(-2, 3), Fraction(7, 5), Fraction(31, 15 * 2**5)))
+    # Roots -1, 0 and 1: bisection ends next to -1, the secant guesses next to 1.
+    @example((X * X * X - X, Fraction(-5, 3), Fraction(4, 3), Fraction(1, 10**6)))
     @settings(max_examples=300, deadline=None)
     def test_same_enclosures_and_refusals(self, case):
         p, lo, hi, tol = case
         got = _outcome(bisect_root, p, lo, hi, tol)
-        assert got == _outcome(fraction_bisect_reference, p, lo, hi, tol)
+        want = _outcome(fraction_bisect_reference, p, lo, hi, tol)
+        before_loop = isinstance(want, type) or want in (Enclosure(lo, lo), Enclosure(hi, hi))
+        if before_loop or open_count(p, lo, hi) == 1:
+            assert got == want
+            return
+        # Several distinct roots: some sign change of p, certified on the same grid.
+        step = grid_step(lo, hi, tol)
+        assert ((got.lo - lo) / step).denominator == 1
+        if got.is_exact:
+            assert lo < got.lo < hi and p(got.lo) == 0
+        else:
+            assert got.width == step
+            assert p.sign_at(got.lo) * p.sign_at(got.hi) == -1
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """A one-element list that counts the Horner evaluations of every
+    polynomial, sign tests included."""
+    count = [0]
+    value_at_pair = Polynomial.value_at_pair
+
+    def counted(p, u, v):
+        count[0] += 1
+        return value_at_pair(p, u, v)
+
+    monkeypatch.setattr(Polynomial, "value_at_pair", counted)
+    return count
+
+
+DEEP = Fraction(1, 10**100)
+X2_MINUS_2 = Polynomial.from_sparse("0:-2,2:1")
+THREE_X_MINUS_1 = Polynomial.from_sparse("0:-1,1:3")
+
+
+class TestBisectWork:
+    """Quadratic refinement pays about log2 of the bit count near a simple
+    root, and about one evaluation per bit near a multiple one."""
+
+    @pytest.mark.parametrize("p, lo, hi", [
+        (X2_MINUS_2, 1, 2),
+        (Polynomial.from_sparse("0:-1,1:-1,3:1"), -1, 2),
+        (linear(Fraction(1, 7)) * (X * X + ONE), Fraction(-2, 3), Fraction(7, 5)),
+    ])
+    def test_simple_root_in_few_evaluations(self, evaluations, p, lo, hi):
+        got = bisect_root(p, lo, hi, DEEP)
+        assert evaluations[0] <= 40  # bisection takes 335 or 336
+        assert got == fraction_bisect_reference(p, lo, hi, DEEP)
+
+    @pytest.mark.parametrize("p, lo, hi", [
+        (X2_MINUS_2 * X2_MINUS_2 * X2_MINUS_2, 1, 2),
+        (THREE_X_MINUS_1 * THREE_X_MINUS_1 * THREE_X_MINUS_1, Fraction(-1, 7), 2),
+    ])
+    def test_multiple_root_near_bisection_count(self, evaluations, p, lo, hi):
+        want = fraction_bisect_reference(p, lo, hi, DEEP)
+        bisection = evaluations[0]
+        evaluations[0] = 0
+        assert bisect_root(p, lo, hi, DEEP) == want
+        assert evaluations[0] <= 1.1 * bisection
+
+    @pytest.mark.parametrize("tol", [DEEP, Fraction(1, 10**1000)])
+    def test_deep_dyadic_hit_is_exact(self, tol):
+        lo, hi = Fraction(-1, 3), Fraction(5, 7)
+        root = lo + (hi - lo) * Fraction(2**299 + 1, 2**300)
+        enc = bisect_root(linear(root) * (X * X + ONE), lo, hi, tol)
+        assert enc == Enclosure(root, root)
+
+    @pytest.mark.parametrize("tol", [DEEP, Fraction(1, 10**1000)])
+    @pytest.mark.parametrize("lo, hi, root", [(1, 2, 1), (Fraction(1, 3), 1, 1)])
+    def test_deep_endpoint_root_is_exact(self, evaluations, tol, lo, hi, root):
+        enc = bisect_root(linear(root) * linear(5), lo, hi, tol)
+        assert enc == Enclosure(Fraction(root), Fraction(root))
+        assert evaluations[0] <= 2
 
 
 class TestNodeRecovery:

@@ -21,7 +21,12 @@ writes under OUT:
 - csv/: `operator --samples N` for N in CSV_SAMPLES and
   BERNSTEIN_FORGE_PRECISION in CSV_PRECISIONS, on the full spaces of the
   orders in CSV_ORDERS over the intervals CSV_INTERVALS, with the named
-  (f0, f1) of CSV_PAIRS.
+  (f0, f1) of CSV_PAIRS;
+- nodes/: `operator --tol 1/10^K` for K in NODE_TOL_DIGITS, on the full
+  spaces of the orders in NODE_ORDERS over NODE_INTERVALS, with the named
+  (f0, f1) of NODE_PAIRS: the tolerance floor, nodes at the critical point
+  of x^3, and weights of a non-constant f0; and the problem REFINED at the
+  tolerances of REFINED_TOLS, whose weights refine their nodes.
 
 The problems come from perfbench/workloads.py beside this tool, which is
 read and not changed.  Run it on two checkouts and compare with
@@ -61,6 +66,22 @@ CSV_PRECISIONS = ("1", "40")
 CSV_ORDERS = (1, 2, 3, 5, 8, 12, 16)
 CSV_INTERVALS = (("-1/3", "5/7"), ("-7/2", "-1/3"), ("2", "5"), ("-1", "2"))
 CSV_PAIRS = (("one", "0:1", "1:1"), ("five_plus_x", "0:5,1:1", "1:1"))
+
+# Tolerance digits, orders, intervals and named (f0, f1) pairs of the
+# nodes/ group: 1000 digits is the CLI's floor, and f1 / f0 = x^3 has a
+# multiple node at 0 wherever a ratio is 0.  An order-2 span holds no x^3.
+NODE_TOL_DIGITS = (12, 100, 1000)
+NODE_ORDERS = (3, 10, 32)
+NODE_INTERVALS = (("-1", "2"), ("-1", "1"), ("-1/3", "5/7"))
+NODE_PAIRS = tuple((f"{f0_name}_{f1_name}", f0, f1)
+                   for f0_name, f0 in (("one", "0:1"), ("five_plus_x", "0:5,1:1"))
+                   for f1_name, f1 in (("x_plus_x3", "1:1,3:1"), ("x3", "3:1")))
+# f0 = (x - 100)^2 + 2 on [99, 101] and f1 = x f0 + x^2 / 10000: interval
+# Horner bounds f0 by a negative number over nodes of width 1/8, so the
+# weights narrow their nodes further.
+REFINED = {"space": {"exponents": [0, 1, 2, 3], "a": "99", "b": "101"},
+           "f0": "0:10002,1:-200,2:1", "f1": "1:10002,2:-1999999/10000,3:1"}
+REFINED_TOLS = ("1/4", "1/8", f"1/{10 ** 100}")
 
 
 def _write(path: Path, text: str) -> None:
@@ -142,6 +163,16 @@ def main(argv=None) -> int:
                 _run_cli(cli, ["operator", json.dumps(problem), "--samples", str(samples)],
                          out / "csv" / f"digits{digits}" / f"{name}.samples{samples}")
     os.environ["BERNSTEIN_FORGE_PRECISION"] = PRECISION
+
+    for k, (a, b), (pair, f0, f1), n in itertools.product(NODE_TOL_DIGITS, NODE_INTERVALS,
+                                                           NODE_PAIRS, NODE_ORDERS):
+        problem = {"space": _space(range(n + 1), a, b), "f0": f0, "f1": f1}
+        name = f"n{n:02d}_on_{a}_{b}_{pair}".replace("/", "over")
+        _run_cli(cli, ["operator", json.dumps(problem), "--tol", f"1/{10 ** k}"],
+                 out / "nodes" / f"tol{k}" / name)
+    for i, tol in enumerate(REFINED_TOLS):
+        _run_cli(cli, ["operator", json.dumps(REFINED), "--tol", tol],
+                 out / "nodes" / f"refined{i}")
 
     print(f"{sum(1 for p in out.rglob('*') if p.is_file())} files under {out}")
     return 0
